@@ -33,10 +33,14 @@ class KernelSet:
 
 def _np_weighted_log2_sumexp(log2_w: np.ndarray, log2_p: np.ndarray, r: float) -> float:
     # log2( sum_k 2^(log2_w + r*log2_p) ), max-shifted so the largest
-    # term is 2^0 and the sum never overflows.
-    t = log2_w + r * log2_p
+    # term is 2^0 and the sum never overflows. One temporary, updated in
+    # place (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021).
+    t = np.multiply(log2_p, r)
+    t += log2_w
     m = float(np.max(t))
-    return m + float(np.log2(np.sum(np.exp2(t - m))))
+    t -= m
+    np.exp2(t, out=t)
+    return m + float(np.log2(np.sum(t)))
 
 
 def _np_weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
@@ -50,8 +54,10 @@ def _np_outer_flatten(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _np_shifted_exp2_weights(t: np.ndarray) -> np.ndarray:
-    w = np.exp2(t - np.max(t))
-    return w / np.sum(w)
+    w = t - np.max(t)
+    np.exp2(w, out=w)
+    w /= np.sum(w)
+    return w
 
 
 NUMPY_KERNELS = KernelSet(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import registry
-from .core import Distribution, UtilityVector, WeightVector, make_distribution
+from .core import Distribution, UtilityVector, WeightVector, as_weight_vector, make_distribution
 from .engine import PolyParams, certainty, inaccuracy, verify_composability
 from .errors import InforcerError, NotNormalized, ParseError, UsageError
 
@@ -77,9 +77,19 @@ def _parse_csv_file(path: Path, what: str) -> np.ndarray:
 
 
 def read_vector(source: str, what: str) -> np.ndarray:
-    """Inline comma-separated numbers, or a path to a CSV/JSON file."""
+    """Inline comma-separated numbers, or a path to a CSV/JSON file.
+
+    Text that parses as numbers is inline and never reaches the
+    filesystem; a path that cannot be read is a ParseError.
+    """
+    try:
+        return _parse_inline(source, what)
+    except ParseError as err:
+        inline_error = err
     path = Path(source)
-    if path.is_file():
+    try:
+        if not path.is_file():
+            raise inline_error
         if path.suffix.lower() == ".json":
             try:
                 data = json.loads(path.read_text())
@@ -89,7 +99,9 @@ def read_vector(source: str, what: str) -> np.ndarray:
                 raise ParseError(f"{what}: {path} must hold a JSON array of numbers")
             return np.array(data, dtype=float)
         return _parse_csv_file(path, what)
-    return _parse_inline(source, what)
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ParseError(f"{what}: cannot read {source[:80]!r}: {reason}") from None
 
 
 def _maybe_renormalize(arr: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
@@ -263,7 +275,7 @@ def _cmd_compute(args) -> int:
             c=args.c if args.c is not None else 1.0,
             e=args.e if args.e is not None else default_e,
         )
-        weights = u if u is not None else WeightVector(p.values)
+        weights = u if u is not None else as_weight_vector(p)
         if args.family == "certainty":
             value = certainty(weights, p, ep.tau, ep.lam, ep.c, ep.e)
         else:
@@ -274,8 +286,9 @@ def _cmd_compute(args) -> int:
         if not args.measure:
             raise UsageError("give --measure NAME or --raw")
         spec = registry.lookup(args.measure)
-        value = registry.evaluate_named(args.measure, p, weights=u, utilities=v, **params)
-        ep = spec.engine_params(spec.check_params(params))
+        ps = spec.check_params(params)
+        value = spec.evaluate(ps, p, u, v)
+        ep = spec.engine_params(ps)
         name = spec.name
         shown_params = _display_params(params)
     unit = "nats" if args.nats else "bits"

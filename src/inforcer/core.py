@@ -10,9 +10,15 @@ renormalizes silently: renormalization is an explicit caller decision.
 Escort and utility weights are built in the log2 domain with a max
 shift, so exponents like p_k^beta stay representable for any beta that
 is mathematically admissible.
+
+Every validated vector owns a read-only array and records whether all
+its entries are strictly positive, so the engine can skip masking and
+domain scans. Arrays this module builds itself (weights, products) are
+validated in place rather than copied first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,21 +37,40 @@ SUM_TOL = 1e-9
 _MODES = ("nonneg", "strictly_positive")
 
 
+class _Built:
+    """An array this module has just built and nothing else references:
+    the vector constructors validate it in place instead of copying it."""
+
+    __slots__ = ("arr",)
+
+    def __init__(self, arr: np.ndarray) -> None:
+        self.arr = arr
+
+
 def _as_vector(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    if isinstance(values, _Built):
+        return values.arr
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1:
         raise TooShort(f"{what} must be a one-dimensional vector, got shape {arr.shape}")
-    return arr.copy()
+    return arr
 
 
-def _check_mass(arr: np.ndarray, what: str, strictly_positive: bool) -> None:
-    if not np.all(np.isfinite(arr)):
+def _check_mass(arr: np.ndarray, what: str, strictly_positive: bool) -> bool:
+    """Reject non-finite and negative (or, if asked, zero) entries;
+    returns whether every entry is strictly positive."""
+    if arr.size == 0:
+        return True
+    # nan propagates through min and max, and +-inf lands in one of them
+    lo, hi = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NegativeMass(f"{what} entries must be finite")
     if strictly_positive:
-        if np.any(arr <= 0.0):
+        if lo <= 0.0:
             raise NegativeMass(f"{what} entries must be strictly positive")
-    elif np.any(arr < 0.0):
+    elif lo < 0.0:
         raise NegativeMass(f"{what} entries must be nonnegative")
+    return lo > 0.0
 
 
 def _check_simplex(arr: np.ndarray, what: str) -> None:
@@ -56,9 +81,10 @@ def _check_simplex(arr: np.ndarray, what: str) -> None:
         raise NotNormalized(f"{what} sums to {total!r}, expected 1 within {SUM_TOL}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(obj, arr: np.ndarray, positive: bool) -> None:
     arr.setflags(write=False)
-    return arr
+    object.__setattr__(obj, "values", arr)
+    object.__setattr__(obj, "_positive", positive)
 
 
 @dataclass(frozen=True)
@@ -72,9 +98,9 @@ class Distribution:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         arr = _as_vector(self.values, "distribution")
-        _check_mass(arr, "distribution", self.mode == "strictly_positive")
+        positive = _check_mass(arr, "distribution", self.mode == "strictly_positive")
         _check_simplex(arr, "distribution")
-        object.__setattr__(self, "values", _freeze(arr))
+        _freeze(self, arr, positive)
 
     def __len__(self) -> int:
         return self.values.size
@@ -88,9 +114,9 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         arr = _as_vector(self.values, "weights")
-        _check_mass(arr, "weights", strictly_positive=False)
+        positive = _check_mass(arr, "weights", strictly_positive=False)
         _check_simplex(arr, "weights")
-        object.__setattr__(self, "values", _freeze(arr))
+        _freeze(self, arr, positive)
 
     def __len__(self) -> int:
         return self.values.size
@@ -104,8 +130,7 @@ class UtilityVector:
 
     def __post_init__(self) -> None:
         arr = _as_vector(self.values, "utilities")
-        _check_mass(arr, "utilities", strictly_positive=True)
-        object.__setattr__(self, "values", _freeze(arr))
+        _freeze(self, arr, _check_mass(arr, "utilities", strictly_positive=True))
 
     def __len__(self) -> int:
         return self.values.size
@@ -124,7 +149,10 @@ def as_weight_vector(weights) -> WeightVector:
     if isinstance(weights, WeightVector):
         return weights
     if isinstance(weights, Distribution):
-        return WeightVector(weights.values)
+        # a validated distribution passes every weight check; share its array
+        w = object.__new__(WeightVector)
+        _freeze(w, weights.values, weights._positive)
+        return w
     return WeightVector(weights)
 
 
@@ -138,24 +166,27 @@ def direct_product(first: Distribution, second: Distribution) -> Distribution:
     b = as_distribution(second)
     flat = backends.active_kernels().outer_flatten(a.values, b.values)
     mode = "strictly_positive" if (a.mode == b.mode == "strictly_positive") else "nonneg"
-    return Distribution(flat, mode)
+    return Distribution(_Built(flat), mode)
 
 
 def weight_product(first, second) -> WeightVector:
     """Direct product of two weight vectors, same entry order as direct_product."""
     a = as_weight_vector(first)
     b = as_weight_vector(second)
-    return WeightVector(backends.active_kernels().outer_flatten(a.values, b.values))
+    return WeightVector(_Built(backends.active_kernels().outer_flatten(a.values, b.values)))
 
 
-def _normalized_exp2(t: np.ndarray, what: str) -> np.ndarray:
-    # -inf exponents are fine (they encode p_k^beta = 0); nan and +inf are not.
-    if np.any(np.isnan(t)) or np.any(t == np.inf):
+def _normalized_exp2(t: np.ndarray, what: str) -> WeightVector:
+    # -inf exponents are fine (they encode p_k^beta = 0); nan and +inf are
+    # not. nan propagates through max, so the max alone tells all three
+    # apart. With a finite max the max-shifted weights are finite: the
+    # largest term is 2^0 and the normalizer lies in [1, n].
+    top = float(np.max(t))
+    if math.isnan(top) or top == math.inf:
         raise DegenerateWeights(f"{what}: exponent left the representable range")
-    w = backends.active_kernels().shifted_exp2_weights(t)
-    if not np.all(np.isfinite(w)):
+    if top == -math.inf:
         raise DegenerateWeights(f"{what}: normalizer vanished")
-    return w
+    return WeightVector(_Built(backends.active_kernels().shifted_exp2_weights(t)))
 
 
 def escort_weights(dist, beta) -> WeightVector:
@@ -173,12 +204,18 @@ def escort_weights(dist, beta) -> WeightVector:
         raise LengthMismatch(f"escort exponent length {b.size} != distribution length {p.size}")
     if not np.all(np.isfinite(b)):
         raise DegenerateWeights("escort exponent must be finite")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # 0 * log2(0) inside the masked branch would warn; the where()
-        # replaces those slots with the exact limit 0
-        log2p = np.log2(p)
-        t = np.where(np.broadcast_to(b, p.shape) == 0.0, 0.0, b * log2p)
-    return WeightVector(_normalized_exp2(t, "escort weights"))
+    if b.ndim == 0 and b == 0.0:
+        t = np.zeros(p.size)  # p_k^0 = 1 for every term, zeros included
+    elif b.ndim == 0:
+        with np.errstate(divide="ignore"):
+            t = np.log2(p)
+        t *= b
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # 0 * log2(0) inside the masked branch would warn; the where()
+            # replaces those slots with the exact limit 0
+            t = np.where(b == 0.0, 0.0, b * np.log2(p))
+    return _normalized_exp2(t, "escort weights")
 
 
 def utility_weights(dist, beta: float, utilities) -> WeightVector:
@@ -190,10 +227,13 @@ def utility_weights(dist, beta: float, utilities) -> WeightVector:
     b = float(beta)
     if not np.isfinite(b):
         raise DegenerateWeights("utility exponent must be finite")
-    with np.errstate(divide="ignore"):
-        log2p = np.log2(p)
-    t = np.log2(v) if b == 0.0 else b * log2p + np.log2(v)
-    return WeightVector(_normalized_exp2(t, "utility weights"))
+    t = np.log2(v)
+    if b != 0.0:
+        with np.errstate(divide="ignore"):
+            log2p = np.log2(p)
+        log2p *= b
+        t += log2p
+    return _normalized_exp2(t, "utility weights")
 
 
 def tilted_weights(dist, weights) -> WeightVector:
@@ -206,7 +246,8 @@ def tilted_weights(dist, weights) -> WeightVector:
     total = float(np.sum(raw))
     if total <= 0.0 or not np.isfinite(total):
         raise DegenerateWeights("tilted weights: sum of u_k p_k is not positive")
-    return WeightVector(raw / total)
+    raw /= total
+    return WeightVector(_Built(raw))
 
 
 def resolve_weight_rule(dist, rule) -> WeightVector:
@@ -218,7 +259,7 @@ def resolve_weight_rule(dist, rule) -> WeightVector:
     d = as_distribution(dist)
     if isinstance(rule, str):
         if rule == "self":
-            return WeightVector(d.values)
+            return as_weight_vector(d)
         raise ValueError(f"unknown weight rule {rule!r}")
     if isinstance(rule, (WeightVector, Distribution)):
         return as_weight_vector(rule)

@@ -14,15 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import engine
 from .composition import GeneratorH, apply_h, invert_h
-from .engine import (
-    DEFAULT_SELECTOR,
-    BranchSelector,
-    PolyParams,
-    VerificationReport,
-    certainty,
-    inaccuracy,
-)
+from .engine import DEFAULT_SELECTOR, BranchSelector, PolyParams, VerificationReport
 from .errors import ConstraintViolation
 
 
@@ -56,7 +50,8 @@ def dual_check(
     """Verify I(U;P) == h_I(h_C^{-1}(C(U;P))) on shared weights.
 
     The identity needs both sides to see the same inner mean, so the
-    two parameter bundles must agree on (tau, lambda).
+    two parameter bundles must agree on (tau, lambda); that mean is
+    computed once and both generators are applied to it.
     """
     if (certainty_params.tau, certainty_params.lam) != (information_params.tau, information_params.lam):
         raise ConstraintViolation(
@@ -70,17 +65,9 @@ def dual_check(
     else:
         h_i = GeneratorH.exp_info(information_params.c, information_params.e)
     mapping = DualityMap(h_c, h_i)
-    c_val = certainty(
-        weights, dist,
-        certainty_params.tau, certainty_params.lam,
-        certainty_params.c, certainty_params.e,
-        selector,
-    )
-    i_val = inaccuracy(
-        weights, dist,
-        information_params.tau, information_params.lam,
-        information_params.c, information_params.e,
-        selector,
-    )
+    engine._check_tau(certainty_params.tau)
+    x = engine.quasi_mean_exponent(weights, dist, certainty_params.tau, certainty_params.lam, selector)
+    c_val = apply_h(h_c, x)
+    i_val = apply_h(h_i, x)
     mapped = certainty_to_inaccuracy(mapping, c_val)
     return VerificationReport.from_comparison(mapped, i_val, tolerance)

@@ -112,16 +112,27 @@ def certainty_generator(c: float, e: float) -> GeneratorH:
 
 
 def _active_terms(weights, dist) -> tuple[np.ndarray, np.ndarray]:
-    u = as_weight_vector(weights).values
-    p = as_distribution(dist).values
+    """Weights and probabilities on the support of the weights.
+
+    Weights with no zero entry keep every term, so nothing is masked or
+    copied. Self weights share the distribution's array, and then the
+    same array is returned twice.
+    """
+    w = as_weight_vector(weights)
+    d = as_distribution(dist)
+    u, p = w.values, d.values
     if u.size != p.size:
         raise LengthMismatch(f"weights length {u.size} != distribution length {p.size}")
+    if w._positive:
+        if not d._positive:
+            raise DomainError("zero probability carries nonzero weight")
+        return u, p
     active = u > 0.0
     if not np.any(active):
         raise DegenerateWeights("all weights are zero")
-    ua = u[active]
-    pa = p[active]
-    if np.any(pa <= 0.0):
+    ua = np.compress(active, u)
+    pa = ua if u is p else np.compress(active, p)
+    if not d._positive and np.any(pa <= 0.0):
         raise DomainError("zero probability carries nonzero weight")
     return ua, pa
 
@@ -139,7 +150,8 @@ def quasi_mean_exponent(
     log2p = np.log2(pa)
     if selector.is_zero(lam):
         return tau * kern.weighted_sum(ua, log2p)
-    return kern.weighted_log2_sumexp(np.log2(ua), log2p, tau * lam) / lam
+    log2u = log2p if ua is pa else np.log2(ua)
+    return kern.weighted_log2_sumexp(log2u, log2p, tau * lam) / lam
 
 
 def inforcer_content(p: float, params: MeasureParams) -> float:
@@ -253,14 +265,11 @@ def verify_composability(
     q = as_distribution(second_dist)
     m1 = evaluate(u, p, params.tau, params.lam, params.c, params.e, selector)
     m2 = evaluate(v, q, params.tau, params.lam, params.c, params.e, selector)
-    lhs = evaluate(
-        weight_product(u, v),
-        direct_product(p, q),
-        params.tau,
-        params.lam,
-        params.c,
-        params.e,
-        selector,
-    )
+    pq = direct_product(p, q)
+    if u.values is p.values and v.values is q.values:
+        uv = as_weight_vector(pq)  # self weights: the product of the weights is P*Q itself
+    else:
+        uv = weight_product(u, v)
+    lhs = evaluate(uv, pq, params.tau, params.lam, params.c, params.e, selector)
     rhs = compose(op, m1, m2)
     return VerificationReport.from_comparison(lhs, rhs, tolerance)

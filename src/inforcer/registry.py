@@ -138,6 +138,23 @@ class MeasureSpec:
             raise LengthMismatch(f"weights length {len(u)} != distribution length {len(d)}")
         return self.weights(d, ps, u, v)
 
+    def evaluate(
+        self,
+        ps: dict,
+        dist,
+        weights=None,
+        utilities=None,
+        selector: BranchSelector = DEFAULT_SELECTOR,
+    ) -> float:
+        """Evaluate this row through the engine on parameters that
+        check_params already returned."""
+        d = as_distribution(dist)
+        w = self.build_weights(d, ps, weights, utilities)
+        ep = self.engine_params(ps)
+        if self.family == "certainty":
+            return certainty(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
+        return inaccuracy(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
+
 
 _SPECS: dict[str, MeasureSpec] = {}
 
@@ -176,7 +193,7 @@ def _row(
 # -- weight builders ---------------------------------------------------
 
 def _w_self(d: Distribution, ps, u, v) -> WeightVector:
-    return WeightVector(d.values)
+    return as_weight_vector(d)
 
 
 def _w_escort(d: Distribution, ps, u, v) -> WeightVector:
@@ -725,14 +742,6 @@ def lookup(name: str) -> MeasureSpec:
         raise UnknownMeasure(f"unknown measure {name!r}{hint}") from None
 
 
-def _prepare(name: str, dist, weights, utilities, params: dict):
-    spec = lookup(name)
-    ps = spec.check_params(params)
-    d = as_distribution(dist)
-    w = spec.build_weights(d, ps, weights, utilities)
-    return spec, ps, d, w
-
-
 def evaluate_named(
     name: str,
     dist,
@@ -743,11 +752,8 @@ def evaluate_named(
     **params,
 ) -> float:
     """Evaluate a catalog row through the engine."""
-    spec, ps, d, w = _prepare(name, dist, weights, utilities, params)
-    ep = spec.engine_params(ps)
-    if spec.family == "certainty":
-        return certainty(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
-    return inaccuracy(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
+    spec = lookup(name)
+    return spec.evaluate(spec.check_params(params), dist, weights, utilities, selector)
 
 
 def reference_evaluate(
@@ -797,7 +803,10 @@ def dual_verify(
     Both sides are evaluated with the certainty row's weight vector, as
     the transform identity requires a shared inner mean.
     """
-    spec, ps, d, w = _prepare(name, dist, weights, None, params)
+    spec = lookup(name)
+    ps = spec.check_params(params)
+    d = as_distribution(dist)
+    w = spec.build_weights(d, ps, weights)
     if spec.family != "certainty" or spec.dual is None:
         raise ConstraintViolation(f"{name}: no information counterpart registered")
     info_name, info_params = spec.dual(ps)

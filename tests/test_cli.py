@@ -381,3 +381,35 @@ class TestExitCodes:
     def test_domain_missing_weights(self, capsys):
         code, _, err = invoke(capsys, ["compute", "--measure", "kerridge", "--p", "0.5,0.5"])
         assert code == 2 and "ConstraintViolation" in err
+
+
+class TestLongInline:
+    def test_hundred_inline_entries(self, capsys):
+        code, out, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", ",".join(["0.01"] * 100)])
+        assert code == 0, err
+        assert float(out) == pytest.approx(math.log2(100.0), rel=1e-11)
+
+    def test_long_non_numeric_argument_is_a_parse_error(self, capsys):
+        code, _, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", "x" * 300])
+        assert code == 2
+        assert "ParseError" in err
+        assert "Traceback" not in err
+
+
+def test_compute_checks_parameters_once(capsys, monkeypatch):
+    from inforcer.registry import MeasureSpec
+
+    calls = []
+    original = MeasureSpec.check_params
+
+    def counted(self, given):
+        calls.append(self.name)
+        return original(self, given)
+
+    monkeypatch.setattr(MeasureSpec, "check_params", counted)
+    code, out, _ = invoke(
+        capsys, ["compute", "--measure", "renyi", "--alpha", "2", "--p", "0.5,0.5", "--format", "json"]
+    )
+    assert code == 0
+    assert json.loads(out)["engine"]["lambda"] == -1.0
+    assert calls == ["renyi"]
