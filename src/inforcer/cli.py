@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -38,6 +40,15 @@ def format_number(x: float) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1 and -1.5 as values, so "--tau -1e0" and
+        # "--grid -0.5,0.5" would stop with "expected one argument". No
+        # option here starts with "-" and a digit, so take every argument
+        # that does (or "-." and a digit) as a value. Subparsers are
+        # built from this class and inherit it.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message: str):  # argparse would sys.exit(2)
         raise UsageError(message)
 
@@ -53,8 +64,8 @@ def _parse_inline(text: str, what: str) -> np.ndarray:
 
 
 def _parse_csv_file(path: Path, what: str) -> np.ndarray:
-    lines = [ln.strip() for ln in path.read_text().splitlines()]
-    lines = [ln for ln in lines if ln]
+    text = path.read_text()
+    lines = list(filter(None, map(str.strip, text.splitlines())))
     if not lines:
         raise ParseError(f"{what}: {path} is empty")
     try:
@@ -63,6 +74,11 @@ def _parse_csv_file(path: Path, what: str) -> np.ndarray:
         lines = lines[1:]  # header row
         if not lines:
             raise ParseError(f"{what}: {path} holds only a header") from None
+    if "," not in text:  # one number per line: convert them all at once
+        try:
+            return np.array(list(map(float, lines)), dtype=float)
+        except ValueError:
+            pass  # the loop below names the bad entry
     values: list[float] = []
     for ln in lines:
         for piece in ln.split(","):
@@ -142,7 +158,10 @@ def _add_param_args(sub):
     sub.add_argument("--betas", default=None, help="comma-separated per-component exponents")
 
 
+@functools.lru_cache(maxsize=None)
 def _parser() -> _Parser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = _Parser(prog="inforcer", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -376,32 +395,26 @@ def _cmd_sweep(args) -> int:
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise UsageError("sweep grid must be strictly monotone")
     spec = registry.lookup(args.measure)
-    if args.param == "lambda":
-        args.param = "lam"
-    if args.param not in spec.params:
+    param = "lam" if args.param == "lambda" else args.param
+    if param not in spec.params:
         raise UsageError(
-            f"{spec.name} has no parameter {args.param!r}; choose from: "
+            f"{spec.name} has no parameter {param!r}; choose from: "
             + (", ".join(spec.params) if spec.params else "none")
         )
     p, u, v = _load_vectors(args)
-    base = _collected_params(args)
-    results: list[tuple[str, str, str]] = []
-    failed = False
-    for g in grid:
-        point = dict(base)
-        point[args.param] = float(g)
-        try:
-            value = registry.evaluate_named(args.measure, p, weights=u, utilities=v, **point)
-            if args.nats:
-                value *= math.log(2.0)
-            results.append((format_number(float(g)), format_number(value), ""))
-        except InforcerError as err:
-            failed = True
-            results.append((format_number(float(g)), "", f"{type(err).__name__}: {err}"))
-    if failed:
-        rows = [[args.param, "value", "error"]] + [list(r) for r in results]
-    else:
-        rows = [[args.param, "value"]] + [[g, val] for g, val, _ in results]
+    values = registry.evaluate_named(
+        args.measure, p, weights=u, utilities=v, sweep=(param, grid), **_collected_params(args)
+    )
+    rows = []
+    for g, value in zip(grid, values):
+        if isinstance(value, InforcerError):
+            rows.append([format_number(g), "", f"{type(value).__name__}: {value}"])
+        else:
+            rows.append([format_number(g), format_number(value * math.log(2.0) if args.nats else value), ""])
+    header = ["lambda" if param == "lam" else param, "value", "error"]
+    if not any(row[2] for row in rows):
+        header, rows = header[:2], [row[:2] for row in rows]
+    rows.insert(0, header)
     _print_csv(rows)
     return 0
 

@@ -111,12 +111,13 @@ def certainty_generator(c: float, e: float) -> GeneratorH:
     return GeneratorH.exp_cert(c, e)
 
 
-def _active_terms(weights, dist) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and probabilities on the support of the weights.
+def _support_terms(weights, dist) -> list:
+    """[u, log2 p, log2 u] on the support of the weights.
 
     Weights with no zero entry keep every term, so nothing is masked or
-    copied. Self weights share the distribution's array, and then the
-    same array is returned twice.
+    copied. Self weights share the distribution's array, and then log2 u
+    is log2 p itself; otherwise it is None until a lambda != 0 mean
+    computes it.
     """
     w = as_weight_vector(weights)
     d = as_distribution(dist)
@@ -126,15 +127,36 @@ def _active_terms(weights, dist) -> tuple[np.ndarray, np.ndarray]:
     if w._positive:
         if not d._positive:
             raise DomainError("zero probability carries nonzero weight")
-        return u, p
-    active = u > 0.0
-    if not np.any(active):
-        raise DegenerateWeights("all weights are zero")
-    ua = np.compress(active, u)
-    pa = ua if u is p else np.compress(active, p)
-    if not d._positive and np.any(pa <= 0.0):
-        raise DomainError("zero probability carries nonzero weight")
-    return ua, pa
+        ua, pa = u, p
+    else:
+        active = u > 0.0
+        if not np.any(active):
+            raise DegenerateWeights("all weights are zero")
+        ua = np.compress(active, u)
+        pa = ua if u is p else np.compress(active, p)
+        if not d._positive and np.any(pa <= 0.0):
+            raise DomainError("zero probability carries nonzero weight")
+    log2p = np.log2(pa)
+    return [ua, log2p, log2p if ua is pa else None]
+
+
+class SharedTerms:
+    """The terms of X(U, P) that no (tau, lambda) changes, for every mean
+    taken over the same (U, P): masking and log2 run once, at the first
+    mean, so the checks a caller runs before asking for a mean still come
+    first. A failed build is tried again at the next mean.
+    """
+
+    __slots__ = ("_inputs", "_terms")
+
+    def __init__(self, weights, dist) -> None:
+        self._inputs = (weights, dist)
+        self._terms = None
+
+    def terms(self) -> list:
+        if self._terms is None:
+            self._terms = _support_terms(*self._inputs)
+        return self._terms
 
 
 def quasi_mean_exponent(
@@ -144,13 +166,17 @@ def quasi_mean_exponent(
     lam: float,
     selector: BranchSelector = DEFAULT_SELECTOR,
 ) -> float:
-    """The inner mean X(U, P) before the generator is applied."""
-    ua, pa = _active_terms(weights, dist)
+    """The inner mean X(U, P) before the generator is applied.
+
+    weights may also be SharedTerms prepared for (weights, dist).
+    """
+    terms = weights.terms() if type(weights) is SharedTerms else _support_terms(weights, dist)
+    ua, log2p, log2u = terms
     kern = backends.active_kernels()
-    log2p = np.log2(pa)
     if selector.is_zero(lam):
         return tau * kern.weighted_sum(ua, log2p)
-    log2u = log2p if ua is pa else np.log2(ua)
+    if log2u is None:
+        log2u = terms[2] = np.log2(ua)
     return kern.weighted_log2_sumexp(log2u, log2p, tau * lam) / lam
 
 

@@ -35,11 +35,12 @@ from .engine import (
     DEFAULT_SELECTOR,
     BranchSelector,
     PolyParams,
+    SharedTerms,
     VerificationReport,
     certainty,
     inaccuracy,
 )
-from .errors import ConstraintViolation, LengthMismatch, UnknownMeasure
+from .errors import ConstraintViolation, InforcerError, LengthMismatch, Overflow, UnknownMeasure
 
 _RELATIONS: dict[str, Callable[[float, float], bool]] = {
     ">": lambda a, b: a > b,
@@ -124,7 +125,10 @@ class MeasureSpec:
         return ps
 
     def engine_params(self, ps: dict) -> PolyParams:
-        return self.engine(ps)
+        try:
+            return self.engine(ps)
+        except OverflowError:  # a float power such as alpha**mu left the double range
+            raise Overflow(f"{self.name}: engine parameters exceed double range") from None
 
     def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
         d = as_distribution(dist)
@@ -149,11 +153,41 @@ class MeasureSpec:
         """Evaluate this row through the engine on parameters that
         check_params already returned."""
         d = as_distribution(dist)
-        w = self.build_weights(d, ps, weights, utilities)
+        return self._finish(ps, self.build_weights(d, ps, weights, utilities), d, selector)
+
+    def _finish(self, ps: dict, w, d: Distribution, selector: BranchSelector) -> float:
+        """engine_params and the family's evaluator over weights w: a
+        WeightVector, or SharedTerms prepared for (w, d)."""
         ep = self.engine_params(ps)
-        if self.family == "certainty":
-            return certainty(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
-        return inaccuracy(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
+        evaluate = certainty if self.family == "certainty" else inaccuracy
+        return evaluate(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
+
+    def sweep(self, params: dict, param: str, values, dist, weights=None, utilities=None,
+              selector: BranchSelector = DEFAULT_SELECTOR) -> list:
+        """check_params and evaluate at params with param set to each of
+        values in turn: per value, the float or the InforcerError raised.
+
+        Every point runs the checks and the arithmetic of one evaluation,
+        in the same order. The weights, masking and log2 are kept from the
+        previous point while the parameters the weight rule reads are
+        unchanged, and rebuilt when they change, so one point's arrays are
+        alive at a time. A failed build is tried again at the next point.
+        """
+        reads = _WEIGHT_READS[self.weights]
+        key = shared = None   # weight-rule inputs, and (Distribution, SharedTerms) built for them
+        out: list = []
+        for value in values:
+            try:
+                ps = self.check_params({**params, param: value})
+                k = tuple(ps[r].tobytes() if r == "betas" else ps[r] for r in reads)
+                if shared is None or k != key:
+                    key, shared = k, None   # drop the previous arrays before building
+                    d = as_distribution(dist)
+                    shared = (d, SharedTerms(self.build_weights(d, ps, weights, utilities), d))
+                out.append(self._finish(ps, shared[1], shared[0], selector))
+            except InforcerError as err:
+                out.append(err.with_traceback(None))
+        return out
 
 
 _SPECS: dict[str, MeasureSpec] = {}
@@ -214,6 +248,15 @@ def _w_external(d: Distribution, ps, u, v) -> WeightVector:
 
 def _w_tilted(d: Distribution, ps, u, v) -> WeightVector:
     return tilted_weights(d, u)
+
+
+# The parameters each weight builder reads. A sweep keeps the weights
+# while these are unchanged, so a builder must list every parameter it
+# reads.
+_WEIGHT_READS: dict[Callable, tuple[str, ...]] = {
+    _w_self: (), _w_escort: ("beta",), _w_escort_vec: ("betas",),
+    _w_utility: ("beta",), _w_external: (), _w_tilted: (),
+}
 
 
 # -- reference formulas (independent closed forms) ---------------------
@@ -749,10 +792,19 @@ def evaluate_named(
     weights=None,
     utilities=None,
     selector: BranchSelector = DEFAULT_SELECTOR,
+    sweep: tuple[str, Sequence[float]] | None = None,
     **params,
-) -> float:
-    """Evaluate a catalog row through the engine."""
+) -> float | list:
+    """Evaluate a catalog row through the engine.
+
+    With sweep=(param, values), evaluate it at each value of one
+    parameter, the others held at params: returns one entry per value,
+    the float or the InforcerError that point raised (see
+    MeasureSpec.sweep). Each value equals what a call per point returns.
+    """
     spec = lookup(name)
+    if sweep is not None:
+        return spec.sweep(params, *sweep, dist, weights, utilities, selector)
     return spec.evaluate(spec.check_params(params), dist, weights, utilities, selector)
 
 

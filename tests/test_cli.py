@@ -305,7 +305,7 @@ class TestSweep:
              "--grid=-1.0,-0.5,0.5,1.0", "--tau", "-1", "--p", "0.2,0.8"],
         )
         assert code == 0
-        assert out.splitlines()[0] == "lam,value"
+        assert out.splitlines()[0] == "lambda,value"
 
     def test_nats(self, capsys):
         code, out, _ = invoke(
@@ -413,3 +413,50 @@ def test_compute_checks_parameters_once(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["engine"]["lambda"] == -1.0
     assert calls == ["renyi"]
+
+
+class TestNegativeValues:
+    def test_scientific_tau(self, capsys):
+        code, out, err = invoke(capsys, ["compute", "--raw", "--family", "information", "--tau", "-1e0",
+                                         "--p", "0.5,0.5"])
+        assert (code, out, err) == (0, "1.0\n", "")
+
+    def test_scientific_lambda(self, capsys):
+        code, out, err = invoke(capsys, ["compute", "--measure", "van_der_lubbe_b", "--tau", "-1",
+                                         "--lambda", "-1e-3", "--p", "0.2,0.8"])
+        assert code == 0, err
+        want = evaluate_named("van_der_lubbe_b", make_distribution([0.2, 0.8]), tau=-1.0, lam=-1e-3)
+        assert out == format_number(want) + "\n"
+
+    def test_grid_led_by_a_negative_value(self, capsys):
+        argv = ["sweep", "--measure", "van_der_lubbe_b", "--param", "lambda", "--tau", "-1", "--p", "0.2,0.8"]
+        code, out, err = invoke(capsys, argv + ["--grid", "-0.5,0.5"])
+        assert code == 0, err
+        assert invoke(capsys, argv + ["--grid=-0.5,0.5"]) == (0, out, "")
+        assert out.splitlines()[0] == "lambda,value" and len(out.splitlines()) == 3
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    from inforcer.cli import _parser
+
+    assert _parser() is _parser()
+    code, out, _ = invoke(capsys, ["compute", "--measure", "renyi", "--alpha", "2", "--p", "0.5,0.5",
+                                   "--format", "json", "--nats"])
+    assert code == 0 and json.loads(out)["unit"] == "nats"
+    # neither --alpha, --format nor --nats carries over to the next call
+    code, _, err = invoke(capsys, ["compute", "--measure", "renyi", "--p", "0.5,0.5"])
+    assert code == 2 and "missing parameter(s) alpha" in err
+    assert invoke(capsys, ["compute", "--measure", "shannon", "--p", "0.5,0.5"]) == (0, "1.0\n", "")
+    code, out, _ = invoke(capsys, ["sweep", "--measure", "tsallis", "--param", "gamma", "--grid", "2",
+                                   "--p", "0.5,0.5"])
+    assert (code, out) == (0, "gamma,value\n2.0,0.5\n")
+    assert vars(_parser().parse_args(["list"])) == {"command": "list", "format": "plain"}
+    code, _, err = invoke(capsys, ["compute", "--p", "0.5,0.5"])
+    assert code == 1 and "give --measure NAME or --raw" in err
+
+
+def test_engine_parameter_overflow_is_a_domain_error(capsys):
+    code, out, err = invoke(capsys, ["compute", "--measure", "nath_b", "--alpha", "10", "--mu", "400",
+                                     "--p", "0.5,0.5"])
+    assert (code, out) == (2, "")
+    assert err == "error[Overflow]: nath_b: engine parameters exceed double range\n"

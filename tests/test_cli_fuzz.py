@@ -1,0 +1,91 @@
+"""Property test over CLI argv: whatever the arguments, cli.run ends with
+exit code 0, 1, 2 or 3 and never with a traceback. Runs in-process, so
+every example also reuses the one cached argument parser."""
+import contextlib
+import io
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from inforcer import cli, registry
+
+COMMANDS = ["compute", "list", "verify", "dual", "sweep", "info"]
+VALUE_FLAGS = ["--measure", "--param", "--grid", "--p", "--q", "--u", "--u2", "--v", "--v2", "--family",
+               "--format", "--tolerance", "--alpha", "--beta", "--gamma", "--mu", "--tau", "--lambda",
+               "--c", "--e", "--betas"]
+SWITCHES = ["--renormalize", "--raw", "--nats"]
+NAMES = [spec.name for spec in registry.list_measures()]
+
+numbers = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "2", "1.5", "-1e0", "-1e-3", "-.5", "1e300", "-1e300", "400",
+                     "1e-320", "nan", "inf", "-inf", "1_0"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+vectors = st.lists(
+    st.one_of(st.sampled_from(["0", "0.5", "0.25", "0.75", "1", "-0.5", "0.2", "0.8", "1e-300", "nan"]),
+              numbers),
+    max_size=5,
+).map(",".join)
+values = st.one_of(
+    numbers, vectors,
+    st.sampled_from(NAMES + ["alpha", "beta", "gamma", "lambda", "lam", "betas", "tau", "information",
+                             "certainty", "json", "csv", "plain", "", ","]),
+    st.text(max_size=8),
+)
+options = st.one_of(
+    st.tuples(st.sampled_from(VALUE_FLAGS), values).map(list),
+    st.tuples(st.sampled_from(VALUE_FLAGS).map(lambda f: f + "="), values).map(lambda t: ["".join(t)]),
+    st.sampled_from(SWITCHES).map(lambda s: [s]),
+    values.map(lambda v: [v]),
+)
+
+
+PARAM_FLAGS = ["--alpha", "--beta", "--gamma", "--mu", "--tau", "--lambda", "--c", "--e"]
+simplices = st.one_of(
+    st.sampled_from(["0.5,0.5", "0.2,0.8", "0.25,0.25,0.5", "0,0.5,0.5", "0.1,0.2,0.3,0.4", "1,0"]),
+    vectors,
+)
+params = st.one_of(numbers, st.floats(-5.0, 5.0).map(repr))
+grids = st.lists(st.one_of(st.floats(-5.0, 5.0), st.floats(allow_nan=False, allow_infinity=False)),
+                 min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def well_formed(draw):
+    """A command with the arguments it requires and numeric parameters:
+    these reach the registry and the engine, not only argparse."""
+    command = draw(st.sampled_from(["compute", "verify", "dual", "sweep"]))
+    argv = [command, "--measure", draw(st.sampled_from(NAMES)), "--p", draw(simplices)]
+    if command == "verify":
+        argv += ["--q", draw(simplices)]
+    if command == "sweep":
+        argv += ["--param", draw(st.sampled_from(["alpha", "beta", "gamma", "mu", "tau", "lambda", "c", "e"])),
+                 "--grid=" + ",".join(map(repr, sorted(draw(grids))))]
+    for flag in draw(st.lists(st.sampled_from(PARAM_FLAGS), max_size=4, unique=True)):
+        argv.append(f"{flag}={draw(params)}")
+    weights = ["--u", "--v"] + (["--u2", "--v2"] if command == "verify" else [])
+    for flag in draw(st.lists(st.sampled_from(weights), max_size=2, unique=True)):
+        argv += [flag, draw(simplices)]
+    switches = ["--renormalize"] + (["--nats"] if command in ("compute", "sweep") else [])
+    return argv + draw(st.lists(st.sampled_from(switches), max_size=1))
+
+
+@st.composite
+def anything(draw):
+    argv = [draw(st.sampled_from(COMMANDS))]
+    for option in draw(st.lists(options, max_size=6)):
+        argv += option
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(well_formed(), anything()))
+def test_cli_exit_codes_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as stop:  # --help prints and exits, as argparse does
+            code = stop.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

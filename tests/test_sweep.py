@@ -1,0 +1,198 @@
+"""The grid path: evaluate_named(..., sweep=(param, values)) against a
+loop of one evaluate_named call per point, and the CSV reader's bulk
+path against the per-entry loop it replaces for comma-free files."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from _samplers import draw_params, random_simplex
+from inforcer import engine, registry
+from inforcer.cli import _parse_csv_file
+from inforcer.core import make_distribution
+from inforcer.errors import DomainError, InforcerError, Overflow, ParseError
+
+# Points that pass every check, that fail check_params (<= 0, == 1,
+# wrong sign for tau), and that fail later: escort weights that leave
+# the double range, generators that overflow. Repeats reuse shared work.
+GRID = [-1e300, -2.0, -1.0, -1e-3, 0.0, 1e-300, 0.5, 1.0, 1.0 + 1e-12, 2.0, 2.0, 3.0, 700.0, 1e300]
+
+
+def _per_point(name, dist, weights, utilities, params, param, values):
+    out = []
+    for value in values:
+        try:
+            out.append(registry.evaluate_named(
+                name, dist, weights=weights, utilities=utilities, **{**params, param: value}))
+        except InforcerError as err:
+            out.append(err)
+    return out
+
+
+def _assert_same(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, InforcerError):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert not isinstance(g, InforcerError), g
+            assert g == w
+
+
+def _row_cases():
+    for spec in registry.list_measures():
+        for param in spec.params or ("alpha",):
+            yield spec.name, param
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["positive", "with_zero"])
+@pytest.mark.parametrize("name,param", list(_row_cases()))
+def test_sweep_matches_per_point_loop(name, param, zero):
+    rng = np.random.default_rng([7, len(name), len(param), zero])
+    n = 6
+    params, weights, utilities = draw_params(name, rng, n)
+    p = random_simplex(rng, n)
+    if zero:
+        # zero probabilities: escort weights with beta < 0 blow up, and a
+        # nonzero external weight there is a domain error at every point
+        p[0] = 0.0
+        p /= p.sum()
+    dist = p if zero else make_distribution(p)
+    got = registry.evaluate_named(
+        name, dist, weights=weights, utilities=utilities, sweep=(param, GRID), **params)
+    _assert_same(got, _per_point(name, dist, weights, utilities, params, param, GRID))
+
+
+def test_grid_holds_values_and_both_kinds_of_error():
+    p = make_distribution([0.1, 0.2, 0.3, 0.4])
+    got = registry.evaluate_named("van_der_lubbe_c", p, tau=-1.0, e=1.0, sweep=("c", [1.0, 0.0, 1000.0]))
+    assert got[0] == registry.evaluate_named("van_der_lubbe_c", p, tau=-1.0, e=1.0, c=1.0)
+    assert "constraint violated" in str(got[1])
+    assert isinstance(got[2], Overflow)  # from the generator, after every check passed
+
+
+def test_shared_error_is_raised_again_at_every_point():
+    p = make_distribution([0.0, 0.5, 0.5])
+    u = [0.2, 0.4, 0.4]
+    got = registry.evaluate_named(
+        "nath_inaccuracy_b", p, weights=u, sweep=("alpha", [0.5, 1.0, 2.0, 3.0]))
+    assert [type(x) for x in got] == [DomainError, type(got[1]), DomainError, DomainError]
+    assert "constraint violated" in str(got[1])
+    assert str(got[0]) == str(got[2]) == str(got[3])
+    assert all(x.__traceback__ is None for x in got)  # keeps no frame, and no array, alive
+
+
+def test_escort_weights_built_once_per_distinct_beta(monkeypatch):
+    calls = []
+    real = registry.escort_weights
+
+    def counted(dist, beta):
+        calls.append(beta)
+        return real(dist, beta)
+
+    monkeypatch.setattr(registry, "escort_weights", counted)
+    p = make_distribution([0.1, 0.2, 0.3, 0.4])
+    alphas = [0.5, 0.8, 1.5, 2.0, 3.0]
+    registry.evaluate_named("kapur", p, beta=0.7, sweep=("alpha", alphas))
+    assert calls == [0.7]
+    calls.clear()
+    registry.evaluate_named("kapur", p, alpha=0.7, sweep=("beta", alphas))
+    assert calls == alphas
+
+
+def test_masking_and_log2_once_per_weight_vector(monkeypatch):
+    calls = []
+    real = engine._support_terms
+
+    def counted(weights, dist):
+        calls.append(1)
+        return real(weights, dist)
+
+    monkeypatch.setattr(engine, "_support_terms", counted)
+    p = make_distribution([0.1, 0.2, 0.3, 0.4])
+    registry.evaluate_named("renyi", p, sweep=("alpha", [0.5, 0.8, 1.5, 2.0]))
+    assert len(calls) == 1
+    calls.clear()
+    registry.evaluate_named("kapur", p, alpha=0.7, sweep=("beta", [0.5, 0.8, 1.5, 2.0]))
+    assert len(calls) == 4
+
+
+def _beta_sweep_peak(p, points):
+    tracemalloc.start()
+    try:
+        registry.evaluate_named("kapur", p, alpha=0.7, sweep=("beta", np.linspace(0.5, 2.0, points)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_beta_sweep_memory_stays_flat_as_the_grid_grows():
+    # every beta is a new weight vector: one point's arrays at a time
+    # keeps the peak at a few vectors of n, however long the grid
+    n = 50_000
+    p = make_distribution(random_simplex(np.random.default_rng(3), n))
+    short, long = _beta_sweep_peak(p, 4), _beta_sweep_peak(p, 40)
+    assert long < short + 2 * 8 * n
+    assert long < 10 * 8 * n
+
+
+def test_unknown_measure_raises_at_once():
+    with pytest.raises(InforcerError, match="unknown measure"):
+        registry.evaluate_named("renyl", [0.5, 0.5], sweep=("alpha", [2.0]))
+
+
+# -- CSV files ---------------------------------------------------------
+
+def _loop_reference(path, what):
+    """The per-entry loop, as every file was read before the bulk path."""
+    lines = [ln.strip() for ln in path.read_text().splitlines()]
+    lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ParseError(f"{what}: {path} is empty")
+    try:
+        float(lines[0].split(",")[0])
+    except ValueError:
+        lines = lines[1:]
+        if not lines:
+            raise ParseError(f"{what}: {path} holds only a header") from None
+    values = []
+    for ln in lines:
+        for piece in ln.split(","):
+            piece = piece.strip()
+            if not piece:
+                continue
+            try:
+                values.append(float(piece))
+            except ValueError:
+                raise ParseError(f"{what}: bad number {piece!r} in {path}") from None
+    return np.array(values, dtype=float)
+
+
+CSV_TEXTS = {
+    "header": "p\n0.25\n0.75\n",
+    "comma_header": "p,q\n0.25\n0.75\n",
+    "blank_lines": "\n0.25\n\n\n0.75\n\n",
+    "whitespace": "  0.25  \n\t0.75 \r\n",
+    "comma_rows": "0.1,0.2\n0.3, 0.4,\n",
+    "underscore": "1_0\n2\n",
+    "repr_floats": "0.1\n0.30000000000000004\n1e-300\n-0.0\ninf\nnan\n",
+    "bad_entry": "p\n0.5\n0.x5\n0.5\n",
+    "bad_entry_in_comma_row": "0.5,0.x5\n",
+    "only_header": "p\n",
+    "empty": "\n \n",
+}
+
+
+@pytest.mark.parametrize("label", list(CSV_TEXTS))
+def test_csv_reader_matches_the_loop(label, tmp_path):
+    path = tmp_path / f"{label}.csv"
+    path.write_text(CSV_TEXTS[label])
+    try:
+        want = _loop_reference(path, "p")
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _parse_csv_file(path, "p")
+        assert str(got.value) == str(err)
+        return
+    got = _parse_csv_file(path, "p")
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
