@@ -31,17 +31,14 @@ from .core import (
 )
 from .duality import DualityMap, certainty_to_inaccuracy, dual_check
 from .engine import (
-    BranchSelector,
     MeasureParams,
     PolyParams,
     VerificationReport,
     certainty,
-    certainty_generator,
     entropy,
     inaccuracy,
     inforcer_content,
     inforcer_measure,
-    information_generator,
     quasi_mean_exponent,
     verify_composability,
 )
@@ -74,7 +71,6 @@ from .registry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchSelector",
     "CompositionOp",
     "ConstraintViolation",
     "DegenerateWeights",
@@ -103,7 +99,6 @@ __all__ = [
     "apply_h",
     "available_backends",
     "certainty",
-    "certainty_generator",
     "certainty_to_inaccuracy",
     "compose",
     "direct_product",
@@ -116,7 +111,6 @@ __all__ = [
     "inaccuracy",
     "inforcer_content",
     "inforcer_measure",
-    "information_generator",
     "invert_h",
     "list_measures",
     "lookup",

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import registry
-from .core import Distribution, UtilityVector, WeightVector, as_weight_vector, make_distribution
-from .engine import PolyParams, certainty, inaccuracy, verify_composability
+from .core import Distribution, UtilityVector, WeightVector, make_distribution
+from .engine import PolyParams, entropy, verify_composability
 from .errors import InforcerError, NotNormalized, ParseError, UsageError
 
 _PARAM_FLAGS = ("alpha", "beta", "gamma", "mu", "tau", "lam", "c", "e", "betas")
@@ -228,11 +228,15 @@ def _load_vectors(args, *, second: bool = False):
     return p, u, v, q, u2, v2
 
 
+def _flag(name: str) -> str:
+    """The name the CLI gives a catalog parameter: lam is set by --lambda."""
+    return "lambda" if name == "lam" else name
+
+
 def _display_params(params: dict) -> dict:
     out = {}
     for key, value in params.items():
-        shown = "lambda" if key == "lam" else key
-        out[shown] = list(map(float, value)) if isinstance(value, np.ndarray) else value
+        out[_flag(key)] = list(map(float, value)) if isinstance(value, np.ndarray) else value
     return out
 
 
@@ -294,11 +298,8 @@ def _cmd_compute(args) -> int:
             c=args.c if args.c is not None else 1.0,
             e=args.e if args.e is not None else default_e,
         )
-        weights = u if u is not None else as_weight_vector(p)
-        if args.family == "certainty":
-            value = certainty(weights, p, ep.tau, ep.lam, ep.c, ep.e)
-        else:
-            value = inaccuracy(weights, p, ep.tau, ep.lam, ep.c, ep.e)
+        value = entropy(p, "self" if u is None else u, family=args.family,
+                        tau=ep.tau, lam=ep.lam, c=ep.c, e=ep.e)
         name = "raw"
         shown_params = {"family": args.family}
     else:
@@ -366,9 +367,7 @@ def _cmd_verify(args) -> int:
     ps = spec.check_params(params)
     w1 = spec.build_weights(p, ps, u, v)
     w2 = spec.build_weights(q, ps, u2, v2)
-    ep = spec.engine_params(ps)
-    kind = "certainty" if spec.family == "certainty" else "information"
-    report = verify_composability(kind, ep, w1, p, w2, q, tolerance=args.tolerance)
+    report = verify_composability(spec.family, spec.engine_params(ps), w1, p, w2, q, tolerance=args.tolerance)
     return _emit_report(args, report, {"check": "composability", "measure": spec.name})
 
 
@@ -395,11 +394,11 @@ def _cmd_sweep(args) -> int:
         if not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise UsageError("sweep grid must be strictly monotone")
     spec = registry.lookup(args.measure)
-    param = "lam" if args.param == "lambda" else args.param
+    param = next((name for name in spec.params if _flag(name) == args.param), args.param)
     if param not in spec.params:
         raise UsageError(
-            f"{spec.name} has no parameter {param!r}; choose from: "
-            + (", ".join(spec.params) if spec.params else "none")
+            f"{spec.name} has no parameter {args.param!r}; choose from: "
+            + (", ".join(map(_flag, spec.params)) if spec.params else "none")
         )
     p, u, v = _load_vectors(args)
     values = registry.evaluate_named(
@@ -411,7 +410,7 @@ def _cmd_sweep(args) -> int:
             rows.append([format_number(g), "", f"{type(value).__name__}: {value}"])
         else:
             rows.append([format_number(g), format_number(value * math.log(2.0) if args.nats else value), ""])
-    header = ["lambda" if param == "lam" else param, "value", "error"]
+    header = [_flag(param), "value", "error"]
     if not any(row[2] for row in rows):
         header, rows = header[:2], [row[:2] for row in rows]
     rows.insert(0, header)

@@ -16,27 +16,27 @@ from dataclasses import dataclass
 
 from . import engine
 from .composition import GeneratorH, apply_h, invert_h
-from .engine import DEFAULT_SELECTOR, BranchSelector, PolyParams, VerificationReport
+from .engine import MeasureParams, PolyParams, VerificationReport
 from .errors import ConstraintViolation
 
 
 @dataclass(frozen=True)
 class DualityMap:
-    """Pair of generators defining y -> h_I(h_C^{-1}(y))."""
+    """Pair of generators (h_C, h_I) defining y -> h_I(h_C^{-1}(y))."""
 
-    certainty_generator: GeneratorH
-    information_generator: GeneratorH
+    h_c: GeneratorH
+    h_i: GeneratorH
 
     def __post_init__(self) -> None:
-        if self.certainty_generator.kind != "exp_cert":
+        if self.h_c.kind != "exp_cert":
             raise ConstraintViolation("certainty side of a duality map must be an exp_cert generator")
-        if self.information_generator.kind == "exp_cert":
+        if self.h_i.kind == "exp_cert":
             raise ConstraintViolation("information side of a duality map must be linear or exp_info")
 
 
 def certainty_to_inaccuracy(mapping: DualityMap, y: float) -> float:
     """Map a certainty value to the paired information value."""
-    return apply_h(mapping.information_generator, invert_h(mapping.certainty_generator, y))
+    return apply_h(mapping.h_i, invert_h(mapping.h_c, y))
 
 
 def dual_check(
@@ -45,7 +45,6 @@ def dual_check(
     weights,
     dist,
     tolerance: float = 1e-9,
-    selector: BranchSelector = DEFAULT_SELECTOR,
 ) -> VerificationReport:
     """Verify I(U;P) == h_I(h_C^{-1}(C(U;P))) on shared weights.
 
@@ -59,15 +58,11 @@ def dual_check(
             f"({certainty_params.tau!r}, {certainty_params.lam!r}) vs "
             f"({information_params.tau!r}, {information_params.lam!r})"
         )
-    h_c = GeneratorH.exp_cert(certainty_params.c, certainty_params.e)
-    if information_params.e == 0.0:
-        h_i = GeneratorH.linear(1.0)
-    else:
-        h_i = GeneratorH.exp_info(information_params.c, information_params.e)
-    mapping = DualityMap(h_c, h_i)
-    engine._check_tau(certainty_params.tau)
-    x = engine.quasi_mean_exponent(weights, dist, certainty_params.tau, certainty_params.lam, selector)
-    c_val = apply_h(h_c, x)
-    i_val = apply_h(h_i, x)
+    mc = MeasureParams.of("certainty", certainty_params)
+    mi = MeasureParams.of("information", information_params)
+    mapping = DualityMap(mc.generator, mi.generator)
+    x = engine.quasi_mean_exponent(weights, dist, mc.tau, mc.lam)
+    c_val = apply_h(mc.generator, x)
+    i_val = apply_h(mi.generator, x)
     mapped = certainty_to_inaccuracy(mapping, c_val)
     return VerificationReport.from_comparison(mapped, i_val, tolerance)

@@ -11,11 +11,12 @@ weight annihilates its term no matter what p_k is. The lambda != 0 sum
 runs in the log2 domain with a max shift, so exponents tau*lambda*log2(p)
 of hundreds are exact to working precision instead of overflowing.
 
-inaccuracy() and certainty() wrap the same engine with the generator
-families whose composition laws are polynomial: (2^(c*x)-1)/e for
-information (e = 0 meaning the linear x itself) and 2^(-c*x)/e for
-certainty. entropy() is the self-weighted special case with pluggable
-weight rules.
+A family name and its (tau, lambda, c, e) resolve once, through
+MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
+take (2^(c*x)-1)/e (e = 0 meaning the linear x itself), certainty takes
+2^(-c*x)/e. The generator also fixes the composition law
+(op_for_generator). inaccuracy(), certainty() and entropy() are thin
+wrappers over inforcer_measure().
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import backends
-from .composition import CompositionOp, GeneratorH, apply_h, compose
+from .composition import GeneratorH, apply_h, compose, op_for_generator
 from .core import (
     Distribution,
     WeightVector,
@@ -36,23 +37,6 @@ from .core import (
     weight_product,
 )
 from .errors import ConstraintViolation, DegenerateWeights, DomainError, LengthMismatch
-
-
-@dataclass(frozen=True)
-class BranchSelector:
-    """Threshold below which |lambda| is treated as exactly zero."""
-
-    lambda_switch: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lambda_switch) and self.lambda_switch > 0.0):
-            raise ConstraintViolation(f"lambda_switch must be positive, got {self.lambda_switch!r}")
-
-    def is_zero(self, lam: float) -> bool:
-        return abs(lam) <= self.lambda_switch
-
-
-DEFAULT_SELECTOR = BranchSelector()
 
 
 @dataclass(frozen=True)
@@ -68,6 +52,19 @@ class MeasureParams:
             raise ConstraintViolation(f"tau must be finite and < 0, got {self.tau!r}")
         if not math.isfinite(self.lam):
             raise ConstraintViolation(f"lambda must be finite, got {self.lam!r}")
+
+    @classmethod
+    def of(cls, family: str, params: PolyParams) -> "MeasureParams":
+        """The measure a family names at params: certainty takes exp_cert;
+        information and inaccuracy take the linear generator at e = 0 and
+        exp_info otherwise."""
+        if family == "certainty":
+            h = GeneratorH.exp_cert(params.c, params.e)
+        elif family in ("information", "inaccuracy"):
+            h = GeneratorH.linear(1.0) if params.e == 0.0 else GeneratorH.exp_info(params.c, params.e)
+        else:
+            raise ConstraintViolation(f"unknown family {family!r}")
+        return cls(params.tau, params.lam, h)
 
 
 @dataclass(frozen=True)
@@ -100,15 +97,6 @@ class VerificationReport:
             rel_err = 0.0 if abs_err == 0.0 else math.inf
         passed = rel_err <= tolerance or (abs(rhs) < 1.0 and abs_err <= tolerance)
         return cls(lhs, rhs, abs_err, rel_err, tolerance, passed)
-
-
-def information_generator(c: float, e: float) -> GeneratorH:
-    """Generator used by inaccuracy(); e = 0 selects the linear one."""
-    return GeneratorH.linear(1.0) if e == 0.0 else GeneratorH.exp_info(c, e)
-
-
-def certainty_generator(c: float, e: float) -> GeneratorH:
-    return GeneratorH.exp_cert(c, e)
 
 
 def _support_terms(weights, dist) -> list:
@@ -159,21 +147,16 @@ class SharedTerms:
         return self._terms
 
 
-def quasi_mean_exponent(
-    weights,
-    dist,
-    tau: float,
-    lam: float,
-    selector: BranchSelector = DEFAULT_SELECTOR,
-) -> float:
-    """The inner mean X(U, P) before the generator is applied.
+def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
+    """The inner mean X(U, P) before the generator is applied; |lambda|
+    <= 1e-8 takes the lambda = 0 form.
 
     weights may also be SharedTerms prepared for (weights, dist).
     """
     terms = weights.terms() if type(weights) is SharedTerms else _support_terms(weights, dist)
     ua, log2p, log2u = terms
     kern = backends.active_kernels()
-    if selector.is_zero(lam):
+    if abs(lam) <= 1e-8:
         return tau * kern.weighted_sum(ua, log2p)
     if log2u is None:
         log2u = terms[2] = np.log2(ua)
@@ -188,53 +171,21 @@ def inforcer_content(p: float, params: MeasureParams) -> float:
     return apply_h(params.generator, params.tau * math.log2(p))
 
 
-def inforcer_measure(
-    weights,
-    dist,
-    params: MeasureParams,
-    selector: BranchSelector = DEFAULT_SELECTOR,
-) -> float:
+def inforcer_measure(weights, dist, params: MeasureParams) -> float:
     """h applied to the quasi-linear mean of elementary exponents."""
-    x = quasi_mean_exponent(weights, dist, params.tau, params.lam, selector)
+    x = quasi_mean_exponent(weights, dist, params.tau, params.lam)
     return apply_h(params.generator, x)
 
 
-def _check_tau(tau: float) -> None:
-    if not (math.isfinite(tau) and tau < 0.0):
-        raise ConstraintViolation(f"tau must be finite and < 0, got {tau!r}")
-
-
-def inaccuracy(
-    weights,
-    dist,
-    tau: float,
-    lam: float,
-    c: float = 1.0,
-    e: float = 0.0,
-    selector: BranchSelector = DEFAULT_SELECTOR,
-) -> float:
+def inaccuracy(weights, dist, tau: float, lam: float, c: float = 1.0, e: float = 0.0) -> float:
     """Information-family value; e = 0 gives the quasi-linear log form,
     e != 0 the pseudo-additive exponential form (requires c*e > 0)."""
-    _check_tau(tau)
-    gen = information_generator(c, e)
-    x = quasi_mean_exponent(weights, dist, tau, lam, selector)
-    return apply_h(gen, x)
+    return inforcer_measure(weights, dist, MeasureParams.of("information", PolyParams(tau, lam, c, e)))
 
 
-def certainty(
-    weights,
-    dist,
-    tau: float,
-    lam: float,
-    c: float = 1.0,
-    e: float = 1.0,
-    selector: BranchSelector = DEFAULT_SELECTOR,
-) -> float:
+def certainty(weights, dist, tau: float, lam: float, c: float = 1.0, e: float = 1.0) -> float:
     """Certainty-family value 2^(-c*X)/e; strictly positive."""
-    _check_tau(tau)
-    gen = certainty_generator(c, e)
-    x = quasi_mean_exponent(weights, dist, tau, lam, selector)
-    return apply_h(gen, x)
+    return inforcer_measure(weights, dist, MeasureParams.of("certainty", PolyParams(tau, lam, c, e)))
 
 
 def entropy(
@@ -246,20 +197,16 @@ def entropy(
     lam: float = 0.0,
     c: float = 1.0,
     e: float = 0.0,
-    selector: BranchSelector = DEFAULT_SELECTOR,
 ) -> float:
     """Measure of a single distribution under a named weight rule.
 
     weight_rule follows core.resolve_weight_rule: "self", ("escort", beta),
-    ("utility", beta, V), ("external", U), or ("tilted", U).
+    ("utility", beta, V), ("external", U), ("tilted", U), or a built
+    weight vector.
     """
     d = as_distribution(dist)
     w = resolve_weight_rule(d, weight_rule)
-    if family == "certainty":
-        return certainty(w, d, tau, lam, c, e, selector)
-    if family in ("information", "inaccuracy"):
-        return inaccuracy(w, d, tau, lam, c, e, selector)
-    raise ConstraintViolation(f"unknown family {family!r}")
+    return inforcer_measure(w, d, MeasureParams.of(family, PolyParams(tau, lam, c, e)))
 
 
 def verify_composability(
@@ -270,32 +217,25 @@ def verify_composability(
     second_weights,
     second_dist,
     tolerance: float = 1e-9,
-    selector: BranchSelector = DEFAULT_SELECTOR,
 ) -> VerificationReport:
-    """Check M(U*V; P*Q) against M(U;P) composed with M(V;Q).
-
-    kind "information"/"inaccuracy" composes with x + y + e*x*y (plain
-    addition at e = 0); kind "certainty" with the e-scaled product.
+    """Check M(U*V; P*Q) against M(U;P) composed with M(V;Q), where M is
+    the measure family kind names at params and the law is its
+    generator's: x + y + e*x*y for information and inaccuracy (plain
+    addition at e = 0), the e-scaled product for certainty.
     """
-    if kind in ("information", "inaccuracy"):
-        evaluate = inaccuracy
-        op = CompositionOp.additive() if params.e == 0.0 else CompositionOp.pseudo_additive(params.e)
-    elif kind == "certainty":
-        evaluate = certainty
-        op = CompositionOp.multiplicative(params.e)
-    else:
-        raise ConstraintViolation(f"unknown family {kind!r}")
+    mp = MeasureParams.of(kind, params)
+    op = op_for_generator(mp.generator)
     u = as_weight_vector(first_weights)
     v = as_weight_vector(second_weights)
     p = as_distribution(first_dist)
     q = as_distribution(second_dist)
-    m1 = evaluate(u, p, params.tau, params.lam, params.c, params.e, selector)
-    m2 = evaluate(v, q, params.tau, params.lam, params.c, params.e, selector)
+    m1 = inforcer_measure(u, p, mp)
+    m2 = inforcer_measure(v, q, mp)
     pq = direct_product(p, q)
     if u.values is p.values and v.values is q.values:
         uv = as_weight_vector(pq)  # self weights: the product of the weights is P*Q itself
     else:
         uv = weight_product(u, v)
-    lhs = evaluate(uv, pq, params.tau, params.lam, params.c, params.e, selector)
+    lhs = inforcer_measure(uv, pq, mp)
     rhs = compose(op, m1, m2)
     return VerificationReport.from_comparison(lhs, rhs, tolerance)

@@ -31,15 +31,7 @@ from .core import (
     utility_weights,
 )
 from .duality import dual_check
-from .engine import (
-    DEFAULT_SELECTOR,
-    BranchSelector,
-    PolyParams,
-    SharedTerms,
-    VerificationReport,
-    certainty,
-    inaccuracy,
-)
+from .engine import MeasureParams, PolyParams, SharedTerms, VerificationReport, inforcer_measure
 from .errors import ConstraintViolation, InforcerError, LengthMismatch, Overflow, UnknownMeasure
 
 _RELATIONS: dict[str, Callable[[float, float], bool]] = {
@@ -83,7 +75,6 @@ class MeasureSpec:
     params: tuple[str, ...]
     rules: tuple[Rule, ...]
     formula: str
-    reference_id: str
     needs_weights: bool = False
     needs_utilities: bool = False
     engine: Callable[[dict], PolyParams] = field(repr=False, default=None)
@@ -130,7 +121,10 @@ class MeasureSpec:
         except OverflowError:  # a float power such as alpha**mu left the double range
             raise Overflow(f"{self.name}: engine parameters exceed double range") from None
 
-    def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
+    def _inputs(self, dist, weights, utilities) -> tuple:
+        """(distribution, external weights or None, utilities or None),
+        validated, with the inputs this row needs present and the
+        weights as long as the distribution."""
         d = as_distribution(dist)
         u = as_weight_vector(weights) if weights is not None else None
         v = as_utility_vector(utilities) if utilities is not None else None
@@ -140,30 +134,24 @@ class MeasureSpec:
             raise ConstraintViolation(f"{self.name}: requires a utility vector")
         if u is not None and len(u) != len(d):
             raise LengthMismatch(f"weights length {len(u)} != distribution length {len(d)}")
+        return d, u, v
+
+    def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
+        d, u, v = self._inputs(dist, weights, utilities)
         return self.weights(d, ps, u, v)
 
-    def evaluate(
-        self,
-        ps: dict,
-        dist,
-        weights=None,
-        utilities=None,
-        selector: BranchSelector = DEFAULT_SELECTOR,
-    ) -> float:
+    def evaluate(self, ps: dict, dist, weights=None, utilities=None) -> float:
         """Evaluate this row through the engine on parameters that
         check_params already returned."""
         d = as_distribution(dist)
-        return self._finish(ps, self.build_weights(d, ps, weights, utilities), d, selector)
+        return self._finish(ps, self.build_weights(d, ps, weights, utilities), d)
 
-    def _finish(self, ps: dict, w, d: Distribution, selector: BranchSelector) -> float:
-        """engine_params and the family's evaluator over weights w: a
-        WeightVector, or SharedTerms prepared for (w, d)."""
-        ep = self.engine_params(ps)
-        evaluate = certainty if self.family == "certainty" else inaccuracy
-        return evaluate(w, d, ep.tau, ep.lam, ep.c, ep.e, selector)
+    def _finish(self, ps: dict, w, d: Distribution) -> float:
+        """The row's measure over weights w: a WeightVector, or
+        SharedTerms prepared for (w, d)."""
+        return inforcer_measure(w, d, MeasureParams.of(self.family, self.engine_params(ps)))
 
-    def sweep(self, params: dict, param: str, values, dist, weights=None, utilities=None,
-              selector: BranchSelector = DEFAULT_SELECTOR) -> list:
+    def sweep(self, params: dict, param: str, values, dist, weights=None, utilities=None) -> list:
         """check_params and evaluate at params with param set to each of
         values in turn: per value, the float or the InforcerError raised.
 
@@ -184,7 +172,7 @@ class MeasureSpec:
                     key, shared = k, None   # drop the previous arrays before building
                     d = as_distribution(dist)
                     shared = (d, SharedTerms(self.build_weights(d, ps, weights, utilities), d))
-                out.append(self._finish(ps, shared[1], shared[0], selector))
+                out.append(self._finish(ps, shared[1], shared[0]))
             except InforcerError as err:
                 out.append(err.with_traceback(None))
         return out
@@ -214,7 +202,6 @@ def _row(
         params=tuple(params),
         rules=tuple(rules),
         formula=formula,
-        reference_id=name,
         needs_weights=needs_weights,
         needs_utilities=needs_utilities,
         engine=engine,
@@ -791,7 +778,6 @@ def evaluate_named(
     *,
     weights=None,
     utilities=None,
-    selector: BranchSelector = DEFAULT_SELECTOR,
     sweep: tuple[str, Sequence[float]] | None = None,
     **params,
 ) -> float | list:
@@ -804,8 +790,8 @@ def evaluate_named(
     """
     spec = lookup(name)
     if sweep is not None:
-        return spec.sweep(params, *sweep, dist, weights, utilities, selector)
-    return spec.evaluate(spec.check_params(params), dist, weights, utilities, selector)
+        return spec.sweep(params, *sweep, dist, weights, utilities)
+    return spec.evaluate(spec.check_params(params), dist, weights, utilities)
 
 
 def reference_evaluate(
@@ -819,15 +805,7 @@ def reference_evaluate(
     """Evaluate a catalog row through its literal closed form."""
     spec = lookup(name)
     ps = spec.check_params(params)
-    d = as_distribution(dist)
-    u = as_weight_vector(weights) if weights is not None else None
-    v = as_utility_vector(utilities) if utilities is not None else None
-    if spec.needs_weights and u is None:
-        raise ConstraintViolation(f"{name}: requires an external weight vector")
-    if spec.needs_utilities and v is None:
-        raise ConstraintViolation(f"{name}: requires a utility vector")
-    if u is not None and len(u) != len(d):
-        raise LengthMismatch(f"weights length {len(u)} != distribution length {len(d)}")
+    d, u, v = spec._inputs(dist, weights, utilities)
     if v is not None and len(v) != len(d):
         raise LengthMismatch(f"utilities length {len(v)} != distribution length {len(d)}")
     return spec.reference(d, ps, u, v)
@@ -847,7 +825,6 @@ def dual_verify(
     *,
     weights=None,
     tolerance: float = 1e-9,
-    selector: BranchSelector = DEFAULT_SELECTOR,
     **params,
 ) -> tuple[VerificationReport, str]:
     """Check a certainty row against its information counterpart.
@@ -864,5 +841,5 @@ def dual_verify(
     info_name, info_params = spec.dual(ps)
     info_spec = lookup(info_name)
     info_pp = info_spec.engine_params(info_spec.check_params(info_params))
-    report = dual_check(spec.engine_params(ps), info_pp, w, d, tolerance, selector)
+    report = dual_check(spec.engine_params(ps), info_pp, w, d, tolerance)
     return report, info_name

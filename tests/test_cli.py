@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -307,6 +309,13 @@ class TestSweep:
         assert code == 0
         assert out.splitlines()[0] == "lambda,value"
 
+    def test_unknown_param_names_the_flag(self, capsys):
+        argv = ["sweep", "--grid", "1", "--p", "0.5,0.5"]
+        assert invoke(capsys, argv + ["--measure", "renyi", "--param", "lambda"]) == (
+            1, "", "usage error: renyi has no parameter 'lambda'; choose from: alpha\n")
+        assert invoke(capsys, argv + ["--measure", "van_der_lubbe_b", "--param", "zeta"]) == (
+            1, "", "usage error: van_der_lubbe_b has no parameter 'zeta'; choose from: tau, lambda\n")
+
     def test_nats(self, capsys):
         code, out, _ = invoke(
             capsys,
@@ -460,3 +469,15 @@ def test_engine_parameter_overflow_is_a_domain_error(capsys):
                                      "--p", "0.5,0.5"])
     assert (code, out) == (2, "")
     assert err == "error[Overflow]: nath_b: engine parameters exceed double range\n"
+
+
+@pytest.mark.parametrize("argv,shown", [
+    (["compute", "--raw", "--family", "information", "--tau", "-1", "--lambda", "inf"], "inf"),
+    (["compute", "--measure", "arimoto", "--gamma", "1e-320"], "-inf"),  # lambda = (gamma - 1) / gamma
+])
+def test_non_finite_lambda_never_reaches_a_kernel(argv, shown):
+    # in a fresh process, so a numpy warning would reach stderr
+    proc = subprocess.run([sys.executable, "-m", "inforcer.cli", *argv, "--p", "0.3,0.7"],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error[ConstraintViolation]: lambda must be finite, got {shown}\n"

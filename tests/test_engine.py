@@ -1,10 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from inforcer import (
-    BranchSelector,
     ConstraintViolation,
     DomainError,
     GeneratorH,
@@ -15,40 +15,59 @@ from inforcer import (
     WeightVector,
     ZeroScale,
     certainty,
-    certainty_generator,
     entropy,
     escort_weights,
+    evaluate_named,
     inaccuracy,
     inforcer_content,
     inforcer_measure,
-    information_generator,
     make_distribution,
+    op_for_generator,
     quasi_mean_exponent,
     verify_composability,
 )
+from inforcer import backends
 
 FAIR = make_distribution([0.5, 0.5])
 FAIR_W = WeightVector([0.5, 0.5])
 
 
-class TestBranchSelector:
-    def test_threshold(self):
-        s = BranchSelector()
-        assert s.is_zero(0.0)
-        assert s.is_zero(1e-8)
-        assert s.is_zero(-1e-8)
-        assert not s.is_zero(1.1e-8)
+class TestLambdaSwitch:
+    P = make_distribution([0.1, 0.2, 0.3, 0.4])
+    U = WeightVector([0.4, 0.3, 0.2, 0.1])
 
-    def test_rejects_bad_switch(self):
-        with pytest.raises(ConstraintViolation):
-            BranchSelector(0.0)
-        with pytest.raises(ConstraintViolation):
-            BranchSelector(-1e-8)
+    def test_within_switch_equals_zero(self):
+        for lam in (1e-8, -1e-8):
+            assert quasi_mean_exponent(self.U, self.P, -1.3, lam) == quasi_mean_exponent(self.U, self.P, -1.3, 0.0)
+            assert inaccuracy(self.U, self.P, -1.3, lam, 0.7, 0.5) == inaccuracy(self.U, self.P, -1.3, 0.0, 0.7, 0.5)
+            assert certainty(self.U, self.P, -1.3, lam, 0.7, 2.0) == certainty(self.U, self.P, -1.3, 0.0, 0.7, 2.0)
 
-    def test_custom_threshold_reroutes(self):
-        wide = BranchSelector(1e-3)
-        at_zero = inaccuracy(FAIR_W, FAIR, -1.0, 0.0)
-        assert inaccuracy(FAIR_W, FAIR, -1.0, 5e-4, selector=wide) == at_zero
+    def test_above_switch_uses_log_sum_exp(self, monkeypatch):
+        kernels = backends.active_kernels()
+        calls = []
+
+        def spy(log2u, log2p, r):
+            calls.append(r)
+            return kernels.weighted_log2_sumexp(log2u, log2p, r)
+
+        monkeypatch.setattr(backends, "active_kernels",
+                            lambda: dataclasses.replace(kernels, weighted_log2_sumexp=spy))
+        lam = 1.1e-8
+        want = kernels.weighted_log2_sumexp(np.log2(self.U.values), np.log2(self.P.values), -1.3 * lam) / lam
+        assert quasi_mean_exponent(self.U, self.P, -1.3, lam) == want
+        assert calls == [-1.3 * lam]
+
+    def test_non_finite_lambda_rejected(self):
+        # lambda = (gamma - 1) / gamma overflows to -inf for arimoto at gamma = 1e-320
+        for lam in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ConstraintViolation, match="lambda must be finite"):
+                MeasureParams(-1.0, lam, GeneratorH.linear(1.0))
+            with pytest.raises(ConstraintViolation, match="lambda must be finite"):
+                inaccuracy(FAIR_W, FAIR, -1.0, lam)
+            with pytest.raises(ConstraintViolation, match="lambda must be finite"):
+                entropy(FAIR, family="certainty", lam=lam, e=1.0)
+        with pytest.raises(ConstraintViolation, match="lambda must be finite, got -inf"):
+            evaluate_named("arimoto", make_distribution([0.3, 0.7]), gamma=1e-320)
 
 
 class TestParams:
@@ -58,10 +77,24 @@ class TestParams:
         with pytest.raises(ConstraintViolation):
             MeasureParams(1.0, 0.0, GeneratorH.linear(1.0))
 
-    def test_generator_selectors(self):
-        assert information_generator(2.0, 0.0).kind == "linear"
-        assert information_generator(2.0, 1.0).kind == "exp_info"
-        assert certainty_generator(1.0, 1.0).kind == "exp_cert"
+    @pytest.mark.parametrize("family,e,kind,law", [
+        ("information", 0.0, "linear", "additive"),
+        ("information", 0.5, "exp_info", "pseudo_additive"),
+        ("inaccuracy", 0.0, "linear", "additive"),
+        ("inaccuracy", 0.5, "exp_info", "pseudo_additive"),
+        ("certainty", 0.5, "exp_cert", "multiplicative"),
+    ])
+    def test_of_picks_generator_and_law(self, family, e, kind, law):
+        mp = MeasureParams.of(family, PolyParams(-1.5, 0.25, 2.0, e))
+        assert (mp.tau, mp.lam, mp.generator.kind) == (-1.5, 0.25, kind)
+        op = op_for_generator(mp.generator)
+        assert op.kind == law
+        if kind != "linear":
+            assert (mp.generator.c, mp.generator.e, op.e) == (2.0, e, e)
+
+    def test_of_unknown_family(self):
+        with pytest.raises(ConstraintViolation, match="unknown family"):
+            MeasureParams.of("free_energy", PolyParams(-1.0, 0.0))
 
 
 class TestContent:
