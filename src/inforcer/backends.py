@@ -1,35 +1,28 @@
-"""Numeric kernels: a numba fast path and a pure-numpy fallback.
+"""Numeric kernels: the four hot loops of the engine, in numpy.
 
-The active backend is chosen once at import from the INFORCER_BACKEND
-environment variable: "numba" (require the jit path), "numpy" (force the
-fallback), or "auto" / unset (numba when importable, numpy otherwise).
-Tests and benchmarks can rebind with set_backend().
+Callers reach the kernels through active_kernels() rather than by
+name. That one call is the seam a tracer swaps out to time each kernel
+inside real operations, without touching the callers.
 
 Kernels assume validated input: 1-d float64 arrays, no NaNs, weights
 already restricted to their active (nonzero) support. Validation stays
-in the calling layer so both backends run identical branch-free math.
+in the calling layer so the kernels run branch-free math.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-ENV_VAR = "INFORCER_BACKEND"
-
 
 @dataclass(frozen=True)
 class KernelSet:
-    name: str
     weighted_log2_sumexp: Callable[[np.ndarray, np.ndarray, float], float]
     weighted_sum: Callable[[np.ndarray, np.ndarray], float]
     outer_flatten: Callable[[np.ndarray, np.ndarray], np.ndarray]
     shifted_exp2_weights: Callable[[np.ndarray], np.ndarray]
 
-
-# -- numpy fallback ----------------------------------------------------
 
 def _np_weighted_log2_sumexp(log2_w: np.ndarray, log2_p: np.ndarray, r: float) -> float:
     # log2( sum_k 2^(log2_w + r*log2_p) ), max-shifted so the largest
@@ -44,8 +37,7 @@ def _np_weighted_log2_sumexp(log2_w: np.ndarray, log2_p: np.ndarray, r: float) -
 
 
 def _np_weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
-    # np.sum reduces pairwise, which is accurate enough to mirror the
-    # compensated loop on the jit path.
+    # np.sum reduces pairwise.
     return float(np.sum(w * x))
 
 
@@ -60,8 +52,7 @@ def _np_shifted_exp2_weights(t: np.ndarray) -> np.ndarray:
     return w
 
 
-NUMPY_KERNELS = KernelSet(
-    "numpy",
+_KERNELS = KernelSet(
     _np_weighted_log2_sumexp,
     _np_weighted_sum,
     _np_outer_flatten,
@@ -69,108 +60,5 @@ NUMPY_KERNELS = KernelSet(
 )
 
 
-# -- numba fast path ---------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _nb_weighted_log2_sumexp(log2_w, log2_p, r):
-        n = log2_w.shape[0]
-        m = -np.inf
-        for k in range(n):
-            t = log2_w[k] + r * log2_p[k]
-            if t > m:
-                m = t
-        s = 0.0
-        for k in range(n):
-            s += 2.0 ** (log2_w[k] + r * log2_p[k] - m)
-        return m + np.log2(s)
-
-    @njit(cache=True)
-    def _nb_weighted_sum(w, x):
-        # Kahan-compensated dot product.
-        s = 0.0
-        comp = 0.0
-        for k in range(w.shape[0]):
-            y = w[k] * x[k] - comp
-            t = s + y
-            comp = (t - s) - y
-            s = t
-        return s
-
-    @njit(cache=True)
-    def _nb_outer_flatten(a, b):
-        n = a.shape[0]
-        m = b.shape[0]
-        out = np.empty(n * m)
-        for i in range(n):
-            ai = a[i]
-            base = i * m
-            for j in range(m):
-                out[base + j] = ai * b[j]
-        return out
-
-    @njit(cache=True)
-    def _nb_shifted_exp2_weights(t):
-        n = t.shape[0]
-        m = -np.inf
-        for k in range(n):
-            if t[k] > m:
-                m = t[k]
-        out = np.empty(n)
-        s = 0.0
-        for k in range(n):
-            v = 2.0 ** (t[k] - m)
-            out[k] = v
-            s += v
-        for k in range(n):
-            out[k] /= s
-        return out
-
-    NUMBA_KERNELS: KernelSet | None = KernelSet(
-        "numba",
-        _nb_weighted_log2_sumexp,
-        _nb_weighted_sum,
-        _nb_outer_flatten,
-        _nb_shifted_exp2_weights,
-    )
-else:
-    NUMBA_KERNELS = None
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if NUMBA_KERNELS is not None else ("numpy",)
-
-
-def _select(name: str) -> KernelSet:
-    name = name.strip().lower()
-    if name in ("", "auto"):
-        return NUMBA_KERNELS if NUMBA_KERNELS is not None else NUMPY_KERNELS
-    if name == "numpy":
-        return NUMPY_KERNELS
-    if name == "numba":
-        if NUMBA_KERNELS is None:
-            raise RuntimeError(f"{ENV_VAR}=numba requested but numba is not importable")
-        return NUMBA_KERNELS
-    raise RuntimeError(f"unrecognized {ENV_VAR}={name!r}; use auto, numba or numpy")
-
-
-_ACTIVE = _select(os.environ.get(ENV_VAR, "auto"))
-
-
 def active_kernels() -> KernelSet:
-    return _ACTIVE
-
-
-def set_backend(name: str) -> KernelSet:
-    """Rebind the active kernel set; returns the new one."""
-    global _ACTIVE
-    _ACTIVE = _select(name)
-    return _ACTIVE
+    return _KERNELS

@@ -291,6 +291,11 @@ def _cmd_compute(args) -> int:
             raise UsageError("--raw needs --family")
         if args.tau is None:
             raise UsageError("--raw needs --tau")
+        stray = [f"--{k}" for k in params if k not in ("tau", "lam", "c", "e")]
+        if args.v is not None:
+            stray.append("--v")
+        if stray:
+            raise UsageError(f"--raw takes no catalog parameters; drop {', '.join(stray)}")
         default_e = 1.0 if args.family == "certainty" else 0.0
         ep = PolyParams(
             tau=args.tau,
@@ -374,6 +379,8 @@ def _cmd_verify(args) -> int:
 def _cmd_dual(args) -> int:
     if args.tolerance <= 0 or not math.isfinite(args.tolerance):
         raise UsageError("--tolerance must be positive")
+    if args.v is not None:
+        raise UsageError("dual reads no utilities; drop --v")
     p, u, _ = _load_vectors(args)
     params = _collected_params(args)
     report, counterpart = registry.dual_verify(

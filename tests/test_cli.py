@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -116,6 +117,23 @@ class TestCompute:
              "--tau", "-1", "--p", "0.5,0.5"],
         )
         assert code == 1
+
+    def test_raw_rejects_catalog_flags(self, capsys):
+        code, out, err = invoke(
+            capsys,
+            ["compute", "--raw", "--family", "information", "--tau", "-1",
+             "--alpha", "7", "--v", "1,2", "--p", "0.5,0.5"],
+        )
+        assert (code, out) == (1, "")
+        assert "--alpha" in err and "--v" in err
+
+    def test_raw_keeps_external_weights(self, capsys):
+        code, out, _ = invoke(
+            capsys,
+            ["compute", "--raw", "--family", "inaccuracy", "--tau", "-1",
+             "--u", "0.5,0.5", "--p", "0.5,0.5"],
+        )
+        assert (code, out) == (0, "1.0\n")
 
     def test_renormalize(self, capsys):
         code, out, _ = invoke(
@@ -271,6 +289,11 @@ class TestDual:
     def test_information_row_rejected(self, capsys):
         code, _, err = invoke(capsys, ["dual", "--measure", "shannon", "--p", "0.5,0.5"])
         assert code == 2 and "ConstraintViolation" in err
+
+    def test_utilities_rejected(self, capsys):
+        code, out, err = invoke(capsys, ["dual", "--measure", "onicescu", "--p", "0.5,0.5", "--v", "1,2"])
+        assert (code, out) == (1, "")
+        assert "--v" in err
 
 
 class TestSweep:
@@ -481,3 +504,12 @@ def test_non_finite_lambda_never_reaches_a_kernel(argv, shown):
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error[ConstraintViolation]: lambda must be finite, got {shown}\n"
+
+
+def test_stale_backend_env_var_is_ignored():
+    # a shell may still export the variable that picked the removed numba backend
+    env = dict(os.environ, INFORCER_BACKEND="numba")
+    proc = subprocess.run([sys.executable, "-m", "inforcer.cli", "compute", "--measure", "shannon", "--p", "0.5,0.5"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "1.0\n")
+    assert "Traceback" not in proc.stderr
