@@ -6,6 +6,14 @@ closed-form evaluator (reference_evaluate) written straight from the
 measure's textbook formula. The two routes must agree; tests hold them
 to 1e-10 relative on valid inputs.
 
+A row declares its weight rule once, in the spelling entropy and
+core.resolve_weight_rule accept, with names where the values go:
+"self", ("escort", "beta"), ("escort", "betas"), ("utility", "beta",
+"V"), ("external", "U") or ("tilted", "U"). "U" and "V" stand for the
+given weight and utility vectors, other names for checked parameters.
+The inputs a row takes, what a sweep rebuilds on and the listed weights
+all follow from the rule.
+
 Constraint rules are declarative triples (lhs, op, rhs) where each side
 is a parameter name or a number; the printed constraints string is
 derived from the same triples so documentation cannot drift from
@@ -15,20 +23,18 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
     Distribution,
-    UtilityVector,
     WeightVector,
     as_distribution,
     as_utility_vector,
     as_weight_vector,
-    escort_weights,
-    tilted_weights,
-    utility_weights,
+    resolve_weight_rule,
 )
 from .duality import dual_check
 from .engine import MeasureParams, PolyParams, SharedTerms, VerificationReport, inforcer_measure
@@ -42,6 +48,16 @@ _RELATIONS: dict[str, Callable[[float, float], bool]] = {
 }
 
 Rule = tuple
+
+# The weights column of `inforcer list`, per declared weight rule.
+_RULE_TEXT: dict = {
+    "self": "self",
+    ("escort", "beta"): "escort(beta)",
+    ("escort", "betas"): "escort(betas), componentwise",
+    ("utility", "beta", "V"): "utility(beta, V)",
+    ("external", "U"): "external U",
+    ("tilted", "U"): "external U tilted by p",
+}
 
 
 def _operand(params: dict, token) -> float:
@@ -71,20 +87,34 @@ class MeasureSpec:
 
     name: str
     family: str                      # information | inaccuracy | certainty
-    weight_rule: str                 # human-readable weight construction
+    weights: str | tuple             # weight rule, with names for its inputs
     params: tuple[str, ...]
     rules: tuple[Rule, ...]
     formula: str
-    needs_weights: bool = False
-    needs_utilities: bool = False
     engine: Callable[[dict], PolyParams] = field(repr=False, default=None)
-    weights: Callable = field(repr=False, default=None)
     reference: Callable = field(repr=False, default=None)
     dual: Callable[[dict], tuple[str, dict]] | None = field(repr=False, default=None)
 
     @property
     def constraints(self) -> str:
         return ", ".join(_rule_text(r) for r in self.rules) if self.rules else "none"
+
+    @property
+    def weight_rule(self) -> str:
+        return _RULE_TEXT[self.weights]
+
+    @cached_property
+    def _reads(self) -> tuple:
+        """The names the weight rule fills in: parameters, "U", "V"."""
+        return () if self.weights == "self" else self.weights[1:]
+
+    @property
+    def needs_weights(self) -> bool:
+        return "U" in self._reads
+
+    @property
+    def needs_utilities(self) -> bool:
+        return "V" in self._reads
 
     def check_params(self, given: dict) -> dict:
         """Validate names and ranges; returns a normalized float dict."""
@@ -123,22 +153,33 @@ class MeasureSpec:
 
     def _inputs(self, dist, weights, utilities) -> tuple:
         """(distribution, external weights or None, utilities or None),
-        validated, with the inputs this row needs present and the
-        weights as long as the distribution."""
+        validated, with exactly the inputs this row's weight rule reads
+        and each as long as the distribution."""
         d = as_distribution(dist)
         u = as_weight_vector(weights) if weights is not None else None
         v = as_utility_vector(utilities) if utilities is not None else None
-        if self.needs_weights and u is None:
+        reads = self._reads
+        if u is None and "U" in reads:
             raise ConstraintViolation(f"{self.name}: requires an external weight vector")
-        if self.needs_utilities and v is None:
+        if v is None and "V" in reads:
             raise ConstraintViolation(f"{self.name}: requires a utility vector")
-        if u is not None and len(u) != len(d):
-            raise LengthMismatch(f"weights length {len(u)} != distribution length {len(d)}")
+        if u is not None and "U" not in reads:
+            raise ConstraintViolation(f"{self.name}: takes no external weight vector")
+        if v is not None and "V" not in reads:
+            raise ConstraintViolation(f"{self.name}: takes no utility vector")
+        for x, what in ((u, "weights"), (v, "utilities")):
+            if x is not None and len(x) != len(d):
+                raise LengthMismatch(f"{what} length {len(x)} != distribution length {len(d)}")
         return d, u, v
 
     def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
+        """The declared weight rule, its names filled in from ps and the
+        given U and V, built by resolve_weight_rule."""
         d, u, v = self._inputs(dist, weights, utilities)
-        return self.weights(d, ps, u, v)
+        rule = self.weights
+        if rule != "self":
+            rule = (rule[0], *[u if a == "U" else v if a == "V" else ps[a] for a in rule[1:]])
+        return resolve_weight_rule(d, rule)
 
     def evaluate(self, ps: dict, dist, weights=None, utilities=None) -> float:
         """Evaluate this row through the engine on parameters that
@@ -161,7 +202,7 @@ class MeasureSpec:
         unchanged, and rebuilt when they change, so one point's arrays are
         alive at a time. A failed build is tried again at the next point.
         """
-        reads = _WEIGHT_READS[self.weights]
+        reads = [a for a in self._reads if a in self.params]
         key = shared = None   # weight-rule inputs, and (Distribution, SharedTerms) built for them
         out: list = []
         for value in values:
@@ -181,69 +222,9 @@ class MeasureSpec:
 _SPECS: dict[str, MeasureSpec] = {}
 
 
-def _row(
-    name: str,
-    family: str,
-    weight_rule: str,
-    params: Sequence[str],
-    rules: Sequence[Rule],
-    formula: str,
-    engine: Callable[[dict], PolyParams],
-    weights: Callable,
-    reference: Callable,
-    dual: Callable | None = None,
-    needs_weights: bool = False,
-    needs_utilities: bool = False,
-) -> None:
-    _SPECS[name] = MeasureSpec(
-        name=name,
-        family=family,
-        weight_rule=weight_rule,
-        params=tuple(params),
-        rules=tuple(rules),
-        formula=formula,
-        needs_weights=needs_weights,
-        needs_utilities=needs_utilities,
-        engine=engine,
-        weights=weights,
-        reference=reference,
-        dual=dual,
-    )
-
-
-# -- weight builders ---------------------------------------------------
-
-def _w_self(d: Distribution, ps, u, v) -> WeightVector:
-    return as_weight_vector(d)
-
-
-def _w_escort(d: Distribution, ps, u, v) -> WeightVector:
-    return escort_weights(d, ps["beta"])
-
-
-def _w_escort_vec(d: Distribution, ps, u, v) -> WeightVector:
-    return escort_weights(d, ps["betas"])
-
-
-def _w_utility(d: Distribution, ps, u, v) -> WeightVector:
-    return utility_weights(d, ps["beta"], v)
-
-
-def _w_external(d: Distribution, ps, u, v) -> WeightVector:
-    return u
-
-
-def _w_tilted(d: Distribution, ps, u, v) -> WeightVector:
-    return tilted_weights(d, u)
-
-
-# The parameters each weight builder reads. A sweep keeps the weights
-# while these are unchanged, so a builder must list every parameter it
-# reads.
-_WEIGHT_READS: dict[Callable, tuple[str, ...]] = {
-    _w_self: (), _w_escort: ("beta",), _w_escort_vec: ("betas",),
-    _w_utility: ("beta",), _w_external: (), _w_tilted: (),
-}
+def _row(*fields, **optional) -> None:
+    spec = MeasureSpec(*fields, **optional)
+    _SPECS[spec.name] = spec
 
 
 # -- reference formulas (independent closed forms) ---------------------
@@ -466,134 +447,132 @@ _row(
     "shannon", "information", "self", (), (),
     "-sum p_k log2 p_k",
     lambda ps: PolyParams(-1.0, 0.0),
-    _w_self, _ref_shannon,
+    _ref_shannon,
 )
 _row(
     "renyi", "information", "self", ("alpha",),
     (("alpha", ">", 0), ("alpha", "!=", 1)),
     "log2(sum p_k^alpha) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _w_self, _ref_renyi,
+    _ref_renyi,
 )
 _row(
     "varma_a", "information", "self", ("alpha", "mu"),
     (("mu", ">=", 1), ("alpha", "<", "mu"), ("alpha", ">", "mu-1")),
     "log2(sum p_k^(alpha - mu + 1)) / (mu - alpha)",
     lambda ps: PolyParams(-1.0, ps["mu"] - ps["alpha"]),
-    _w_self, _ref_varma_a,
+    _ref_varma_a,
 )
 _row(
     "varma_b", "information", "self", ("alpha", "mu"),
     (("mu", ">=", 1), ("alpha", "<", "mu"), ("alpha", ">", "mu-1")),
     "(mu / (mu - alpha)) log2(sum p_k^(alpha / mu))",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"] / ps["mu"]),
-    _w_self, _ref_varma_b,
+    _ref_varma_b,
 )
 _row(
     "nath_a", "information", "self", ("alpha", "mu"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("mu", ">", 0)),
     "log2(sum p_k^(mu (alpha - 1) + 1)) / (1 - alpha)",
     lambda ps: PolyParams(-ps["mu"], 1.0 - ps["alpha"]),
-    _w_self, _ref_nath_a,
+    _ref_nath_a,
 )
 _row(
     "nath_b", "information", "self", ("alpha", "mu"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("mu", ">", 0)),
     "log2(sum p_k^(alpha^mu)) / (1 - alpha)",
     lambda ps: PolyParams((ps["alpha"] ** ps["mu"] - 1.0) / (1.0 - ps["alpha"]), 1.0 - ps["alpha"]),
-    _w_self, _ref_nath_b,
+    _ref_nath_b,
 )
 _row(
-    "aczel_daroczy_a", "information", "escort(beta)", ("beta",), (),
+    "aczel_daroczy_a", "information", ("escort", "beta"), ("beta",), (),
     "-sum p_k^beta log2 p_k / sum p_k^beta",
     lambda ps: PolyParams(-1.0, 0.0),
-    _w_escort, _ref_aczel_daroczy_a,
+    _ref_aczel_daroczy_a,
 )
 _row(
-    "aczel_daroczy_b", "information", "escort(beta)", ("alpha", "beta"),
+    "aczel_daroczy_b", "information", ("escort", "beta"), ("alpha", "beta"),
     (("alpha", "!=", "beta"),),
     "log2(sum p_k^alpha / sum p_k^beta) / (beta - alpha)",
     lambda ps: PolyParams(-1.0, ps["beta"] - ps["alpha"]),
-    _w_escort, _ref_aczel_daroczy_b,
+    _ref_aczel_daroczy_b,
 )
 _row(
-    "kapur", "information", "escort(beta)", ("alpha", "beta"),
+    "kapur", "information", ("escort", "beta"), ("alpha", "beta"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("beta", ">", 0)),
     "log2(sum p_k^(alpha + beta - 1) / sum p_k^beta) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _w_escort, _ref_kapur,
+    _ref_kapur,
 )
 _row(
-    "rathie", "information", "escort(betas), componentwise", ("alpha", "betas"),
+    "rathie", "information", ("escort", "betas"), ("alpha", "betas"),
     (("alpha", ">", 0), ("alpha", "!=", 1)),
     "log2(sum p_k^(alpha + beta_k - 1) / sum p_k^beta_k) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _w_escort_vec, _ref_rathie,
+    _ref_rathie,
 )
 _row(
-    "khan_autar", "information", "utility(beta, V)", ("alpha", "beta"),
+    "khan_autar", "information", ("utility", "beta", "V"), ("alpha", "beta"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("beta", ">", 0)),
     "log2(sum v_k p_k^(alpha + beta - 1) / sum v_k p_k^beta) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _w_utility, _ref_khan_autar,
-    needs_utilities=True,
+    _ref_khan_autar,
 )
 _row(
-    "singh", "information", "utility(beta, V)", ("alpha", "beta"),
+    "singh", "information", ("utility", "beta", "V"), ("alpha", "beta"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("beta", ">", 0)),
     "log2(sum v_k p_k^(alpha beta) / sum v_k p_k^beta) / (1 - alpha)",
     lambda ps: PolyParams(-ps["beta"], 1.0 - ps["alpha"]),
-    _w_utility, _ref_singh,
-    needs_utilities=True,
+    _ref_singh,
 )
 _row(
     "havrda_charvat", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(sum p_k^gamma - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _w_self, _ref_havrda_charvat,
+    _ref_havrda_charvat,
 )
 _row(
     "sharma_mittal_a", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(2^((gamma - 1) sum p_k log2 p_k) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 0.0, 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _w_self, _ref_sharma_mittal_a,
+    _ref_sharma_mittal_a,
 )
 _row(
     "sharma_mittal_b", "information", "self", ("alpha", "gamma"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum p_k^alpha)^((1 - gamma)/(1 - alpha)) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _w_self, _ref_sharma_mittal_b,
+    _ref_sharma_mittal_b,
 )
 _row(
     "tsallis", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(sum p_k^gamma - 1) / (1 - gamma)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"], 1.0 - ps["gamma"]),
-    _w_self, _ref_tsallis,
+    _ref_tsallis,
 )
 _row(
     "frank_daffertshofer_a", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(2^((gamma - 1) sum p_k log2 p_k) - 1) / (1 - gamma)",
     lambda ps: PolyParams(-1.0, 0.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"]),
-    _w_self, _ref_frank_daffertshofer_a,
+    _ref_frank_daffertshofer_a,
 )
 _row(
     "frank_daffertshofer_b", "information", "self", ("alpha", "gamma"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum p_k^alpha)^((1 - gamma)/(1 - alpha)) - 1) / (1 - gamma)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"], 1.0 - ps["gamma"], 1.0 - ps["gamma"]),
-    _w_self, _ref_frank_daffertshofer_b,
+    _ref_frank_daffertshofer_b,
 )
 _row(
     "arimoto", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum p_k^(1/gamma))^gamma - 1) / (gamma - 1)",
     lambda ps: PolyParams(-1.0, (ps["gamma"] - 1.0) / ps["gamma"], ps["gamma"] - 1.0, ps["gamma"] - 1.0),
-    _w_self, _ref_arimoto,
+    _ref_arimoto,
 )
 _row(
     "boekee_van_der_lubbe", "information", "self", ("gamma",),
@@ -602,80 +581,75 @@ _row(
     lambda ps: PolyParams(
         -1.0, 1.0 - ps["gamma"], (1.0 - ps["gamma"]) / ps["gamma"], (1.0 - ps["gamma"]) / ps["gamma"]
     ),
-    _w_self, _ref_boekee_van_der_lubbe,
+    _ref_boekee_van_der_lubbe,
 )
 _row(
     "van_der_lubbe_a", "information", "self", ("tau",),
     (("tau", "<", 0),),
     "tau sum p_k log2 p_k",
     lambda ps: PolyParams(ps["tau"], 0.0),
-    _w_self, _ref_van_der_lubbe_a,
+    _ref_van_der_lubbe_a,
 )
 _row(
     "van_der_lubbe_b", "information", "self", ("tau", "lam"),
     (("tau", "<", 0), ("lam", "!=", 0)),
     "log2(sum p_k^(1 + tau lam)) / lam",
     lambda ps: PolyParams(ps["tau"], ps["lam"]),
-    _w_self, _ref_van_der_lubbe_b,
+    _ref_van_der_lubbe_b,
 )
 _row(
     "van_der_lubbe_c", "information", "self", ("tau", "c", "e"),
     (("tau", "<", 0), ("c*e", ">", 0)),
     "(2^(tau c sum p_k log2 p_k) - 1) / e",
     lambda ps: PolyParams(ps["tau"], 0.0, ps["c"], ps["e"]),
-    _w_self, _ref_van_der_lubbe_c,
+    _ref_van_der_lubbe_c,
 )
 _row(
     "van_der_lubbe_d", "information", "self", ("tau", "lam", "c", "e"),
     (("tau", "<", 0), ("lam", "!=", 0), ("c*e", ">", 0)),
     "((sum p_k^(1 + tau lam))^(c/lam) - 1) / e",
     lambda ps: PolyParams(ps["tau"], ps["lam"], ps["c"], ps["e"]),
-    _w_self, _ref_van_der_lubbe_d,
+    _ref_van_der_lubbe_d,
 )
 _row(
-    "kerridge", "inaccuracy", "external U", (), (),
+    "kerridge", "inaccuracy", ("external", "U"), (), (),
     "-sum u_k log2 p_k",
     lambda ps: PolyParams(-1.0, 0.0),
-    _w_external, _ref_kerridge,
-    needs_weights=True,
+    _ref_kerridge,
 )
 _row(
-    "nath_inaccuracy_a", "inaccuracy", "external U", ("gamma",),
+    "nath_inaccuracy_a", "inaccuracy", ("external", "U"), ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(sum u_k p_k^(gamma - 1) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _w_external, _ref_nath_inaccuracy_a,
-    needs_weights=True,
+    _ref_nath_inaccuracy_a,
 )
 _row(
-    "nath_inaccuracy_b", "inaccuracy", "external U", ("alpha",),
+    "nath_inaccuracy_b", "inaccuracy", ("external", "U"), ("alpha",),
     (("alpha", ">", 0), ("alpha", "!=", 1)),
     "log2(sum u_k p_k^(alpha - 1)) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _w_external, _ref_nath_inaccuracy_b,
-    needs_weights=True,
+    _ref_nath_inaccuracy_b,
 )
 _row(
-    "gupta_sharma_a", "inaccuracy", "external U", ("gamma",),
+    "gupta_sharma_a", "inaccuracy", ("external", "U"), ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(2^((gamma - 1) sum u_k log2 p_k) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 0.0, 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _w_external, _ref_gupta_sharma_a,
-    needs_weights=True,
+    _ref_gupta_sharma_a,
 )
 _row(
-    "gupta_sharma_b", "inaccuracy", "external U", ("alpha", "gamma"),
+    "gupta_sharma_b", "inaccuracy", ("external", "U"), ("alpha", "gamma"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum u_k p_k^(alpha - 1))^((1 - gamma)/(1 - alpha)) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _w_external, _ref_gupta_sharma_b,
-    needs_weights=True,
+    _ref_gupta_sharma_b,
 )
 _row(
     "onicescu", "certainty", "self", (), (),
     "sum p_k^2",
     lambda ps: PolyParams(-1.0, -1.0, 1.0, 1.0),
-    _w_self, _ref_onicescu,
+    _ref_onicescu,
     dual=lambda ps: ("renyi", {"alpha": 2.0}),
 )
 _row(
@@ -683,7 +657,7 @@ _row(
     (("gamma", ">", 1),),
     "sum p_k^gamma / (gamma - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], ps["gamma"] - 1.0, ps["gamma"] - 1.0),
-    _w_self, _ref_teodorescu,
+    _ref_teodorescu,
     dual=lambda ps: ("havrda_charvat", {"gamma": ps["gamma"]}),
 )
 _row(
@@ -691,26 +665,25 @@ _row(
     (("gamma", ">", 1),),
     "sum p_k^gamma",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], ps["gamma"] - 1.0, 1.0),
-    _w_self, _ref_pardo_taneja,
+    _ref_pardo_taneja,
     dual=lambda ps: ("renyi", {"alpha": ps["gamma"]}),
 )
 _row(
-    "pardo", "certainty", "external U tilted by p", ("gamma",),
+    "pardo", "certainty", ("tilted", "U"), ("gamma",),
     (("gamma", ">", 1),),
     "(sum u_k p_k^gamma / sum u_k p_k) / (gamma - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], ps["gamma"] - 1.0, ps["gamma"] - 1.0),
-    _w_tilted, _ref_pardo,
+    _ref_pardo,
     dual=lambda ps: ("renyi", {"alpha": ps["gamma"]}),
-    needs_weights=True,
 )
 _row(
-    "tuteja", "certainty", "external U tilted by p", ("beta", "gamma"),
+    "tuteja", "certainty", ("tilted", "U"), ("beta", "gamma"),
     (("beta", ">", 1), ("gamma", ">", 1)),
     "(sum u_k p_k^gamma / sum u_k p_k)^((gamma - 1)/(beta - 1)) / (gamma - 1)",
     lambda ps: PolyParams(
         (ps["gamma"] - 1.0) / (1.0 - ps["beta"]), 1.0 - ps["beta"], ps["gamma"] - 1.0, ps["gamma"] - 1.0
     ),
-    _w_tilted, _ref_tuteja,
+    _ref_tuteja,
     dual=lambda ps: (
         "van_der_lubbe_d",
         {
@@ -720,14 +693,13 @@ _row(
             "e": 2.0 ** (1.0 - ps["gamma"]) - 1.0,
         },
     ),
-    needs_weights=True,
 )
 _row(
     "van_der_lubbe_certainty_a", "certainty", "self", ("tau",),
     (("tau", ">", 0),),
     "2^(tau sum p_k log2 p_k)",
     lambda ps: PolyParams(-ps["tau"], 0.0, 1.0, 1.0),
-    _w_self, _ref_van_der_lubbe_certainty_a,
+    _ref_van_der_lubbe_certainty_a,
     dual=lambda ps: ("van_der_lubbe_a", {"tau": -ps["tau"]}),
 )
 _row(
@@ -735,23 +707,23 @@ _row(
     (("tau", ">", 0), ("lam", "!=", 0)),
     "(sum p_k^(1 + tau lam))^(1/lam)",
     lambda ps: PolyParams(-ps["tau"], -ps["lam"], 1.0, 1.0),
-    _w_self, _ref_van_der_lubbe_certainty_b,
+    _ref_van_der_lubbe_certainty_b,
     dual=lambda ps: ("van_der_lubbe_b", {"tau": -ps["tau"], "lam": -ps["lam"]}),
 )
 _row(
-    "bhatia_a", "certainty", "escort(beta)", ("beta", "tau"),
+    "bhatia_a", "certainty", ("escort", "beta"), ("beta", "tau"),
     (("tau", ">", 0),),
     "2^(tau sum p_k^beta log2 p_k / sum p_k^beta)",
     lambda ps: PolyParams(-ps["tau"], 0.0, 1.0, 1.0),
-    _w_escort, _ref_bhatia_a,
+    _ref_bhatia_a,
     dual=lambda ps: ("van_der_lubbe_a", {"tau": -ps["tau"]}),
 )
 _row(
-    "bhatia_b", "certainty", "escort(beta)", ("beta", "tau", "lam"),
+    "bhatia_b", "certainty", ("escort", "beta"), ("beta", "tau", "lam"),
     (("tau", ">", 0), ("lam", "!=", 0)),
     "(sum p_k^(beta + tau lam) / sum p_k^beta)^(1/lam)",
     lambda ps: PolyParams(-ps["tau"], -ps["lam"], 1.0, 1.0),
-    _w_escort, _ref_bhatia_b,
+    _ref_bhatia_b,
     dual=lambda ps: ("van_der_lubbe_b", {"tau": -ps["tau"], "lam": -ps["lam"]}),
 )
 
@@ -806,8 +778,6 @@ def reference_evaluate(
     spec = lookup(name)
     ps = spec.check_params(params)
     d, u, v = spec._inputs(dist, weights, utilities)
-    if v is not None and len(v) != len(d):
-        raise LengthMismatch(f"utilities length {len(v)} != distribution length {len(d)}")
     return spec.reference(d, ps, u, v)
 
 

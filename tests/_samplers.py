@@ -117,25 +117,26 @@ def composability_weights(spec, params: dict, p, q, rng: np.random.Generator):
     Builds each side with the row's own rule; rows with per-component or
     external inputs get independent draws for the two sides.
     """
-    rule = spec.weight_rule
+    rule = spec.weights
     n, m = len(p), len(q)
     if rule == "self":
         return WeightVector(p.values), WeightVector(q.values)
-    if rule.startswith("escort(betas"):
+    kind = rule[0]
+    if kind == "escort" and rule[1] == "betas":
         return (
             escort_weights(p, rng.uniform(0.1, 2.0, n)),
             escort_weights(q, rng.uniform(0.1, 2.0, m)),
         )
-    if rule.startswith("escort("):
+    if kind == "escort":
         beta = params["beta"]
         return escort_weights(p, beta), escort_weights(q, beta)
-    if rule.startswith("utility("):
+    if kind == "utility":
         beta = params["beta"]
         return (
             utility_weights(p, beta, rng.uniform(0.5, 2.0, n)),
             utility_weights(q, beta, rng.uniform(0.5, 2.0, m)),
         )
-    if "tilted" in rule:
+    if kind == "tilted":
         return (
             tilted_weights(p, random_simplex(rng, n)),
             tilted_weights(q, random_simplex(rng, m)),

@@ -187,6 +187,50 @@ class TestFileInputs:
         assert code == 2 and "ParseError" in err
 
 
+# Per row, in catalog order: the weights column of `list` and whether the
+# row needs external weights (--u) and utilities (--v).
+LIST_WEIGHTS = {
+    "shannon": ("self", False, False),
+    "renyi": ("self", False, False),
+    "varma_a": ("self", False, False),
+    "varma_b": ("self", False, False),
+    "nath_a": ("self", False, False),
+    "nath_b": ("self", False, False),
+    "aczel_daroczy_a": ("escort(beta)", False, False),
+    "aczel_daroczy_b": ("escort(beta)", False, False),
+    "kapur": ("escort(beta)", False, False),
+    "rathie": ("escort(betas), componentwise", False, False),
+    "khan_autar": ("utility(beta, V)", False, True),
+    "singh": ("utility(beta, V)", False, True),
+    "havrda_charvat": ("self", False, False),
+    "sharma_mittal_a": ("self", False, False),
+    "sharma_mittal_b": ("self", False, False),
+    "tsallis": ("self", False, False),
+    "frank_daffertshofer_a": ("self", False, False),
+    "frank_daffertshofer_b": ("self", False, False),
+    "arimoto": ("self", False, False),
+    "boekee_van_der_lubbe": ("self", False, False),
+    "van_der_lubbe_a": ("self", False, False),
+    "van_der_lubbe_b": ("self", False, False),
+    "van_der_lubbe_c": ("self", False, False),
+    "van_der_lubbe_d": ("self", False, False),
+    "kerridge": ("external U", True, False),
+    "nath_inaccuracy_a": ("external U", True, False),
+    "nath_inaccuracy_b": ("external U", True, False),
+    "gupta_sharma_a": ("external U", True, False),
+    "gupta_sharma_b": ("external U", True, False),
+    "onicescu": ("self", False, False),
+    "teodorescu": ("self", False, False),
+    "pardo_taneja": ("self", False, False),
+    "pardo": ("external U tilted by p", True, False),
+    "tuteja": ("external U tilted by p", True, False),
+    "van_der_lubbe_certainty_a": ("self", False, False),
+    "van_der_lubbe_certainty_b": ("self", False, False),
+    "bhatia_a": ("escort(beta)", False, False),
+    "bhatia_b": ("escort(beta)", False, False),
+}
+
+
 class TestList:
     def test_plain_row_count(self, capsys):
         code, out, _ = invoke(capsys, ["list"])
@@ -201,6 +245,11 @@ class TestList:
         records = json.loads(out)
         assert len(records) == 38
         assert all({"name", "family", "params", "weights", "constraints"} <= set(r) for r in records)
+
+    def test_json_weight_columns(self, capsys):
+        _, out, _ = invoke(capsys, ["list", "--format", "json"])
+        got = [(r["name"], (r["weights"], r["needs_weights"], r["needs_utilities"])) for r in json.loads(out)]
+        assert got == list(LIST_WEIGHTS.items())
 
     def test_csv_header(self, capsys):
         code, out, _ = invoke(capsys, ["list", "--format", "csv"])
@@ -413,6 +462,37 @@ class TestExitCodes:
     def test_domain_missing_weights(self, capsys):
         code, _, err = invoke(capsys, ["compute", "--measure", "kerridge", "--p", "0.5,0.5"])
         assert code == 2 and "ConstraintViolation" in err
+
+
+class TestUnreadInputs:
+    """A --u or --v that the row's weight rule does not read is a
+    constraint violation, as an unexpected parameter is."""
+
+    @pytest.mark.parametrize("argv, unread", [
+        ("compute --measure shannon --u 0.9,0.1 --p 0.5,0.5", "external weight vector"),
+        ("compute --measure shannon --v 1,2,3 --p 0.5,0.5", "utility vector"),
+        ("verify --measure renyi --alpha 2 --v 1,2 --p 0.5,0.5 --q 0.5,0.5", "utility vector"),
+        ("dual --measure onicescu --u 0.5,0.5 --p 0.5,0.5", "external weight vector"),
+        ("compute --measure kerridge --u 0.3,0.7 --v 1,2 --p 0.5,0.5", "utility vector"),
+    ])
+    def test_rejected(self, capsys, argv, unread):
+        code, out, err = invoke(capsys, argv.split())
+        name = argv.split()[2]
+        assert (code, out) == (2, "")
+        assert err == f"error[ConstraintViolation]: {name}: takes no {unread}\n"
+
+    def test_sweep_reports_each_point(self, capsys):
+        code, out, _ = invoke(
+            capsys,
+            ["sweep", "--measure", "renyi", "--param", "alpha", "--grid", "0.5,2",
+             "--u", "0.5,0.5", "--p", "0.1,0.9"],
+        )
+        assert code == 0
+        assert out == (
+            "alpha,value,error\n"
+            "0.5,,ConstraintViolation: renyi: takes no external weight vector\n"
+            "2.0,,ConstraintViolation: renyi: takes no external weight vector\n"
+        )
 
 
 class TestLongInline:

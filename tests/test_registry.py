@@ -9,6 +9,7 @@ from inforcer import (
     UnknownMeasure,
     WeightVector,
     dual_counterpart,
+    entropy,
     evaluate_named,
     list_measures,
     lookup,
@@ -98,6 +99,19 @@ class TestParamChecking:
     def test_missing_utilities(self):
         with pytest.raises(ConstraintViolation):
             evaluate_named("khan_autar", make_distribution([0.5, 0.5]), alpha=2.0, beta=1.0)
+
+    def test_unread_inputs_rejected(self):
+        p = make_distribution([0.5, 0.5])
+        with pytest.raises(ConstraintViolation, match="shannon: takes no external weight vector"):
+            evaluate_named("shannon", p, weights=[0.9, 0.1])
+        with pytest.raises(ConstraintViolation, match="renyi: takes no utility vector"):
+            reference_evaluate("renyi", p, utilities=[1.0, 2.0], alpha=2.0)
+
+    def test_utilities_length_checked_on_both_routes(self):
+        p = make_distribution([0.5, 0.5])
+        for route in (evaluate_named, reference_evaluate):
+            with pytest.raises(LengthMismatch, match="utilities length 3 != distribution length 2"):
+                route("singh", p, utilities=[1.0, 2.0, 3.0], alpha=2.0, beta=1.0)
 
     def test_betas_length_checked(self):
         with pytest.raises(LengthMismatch):
@@ -242,6 +256,26 @@ class TestEngineMatchesReference:
     def test_reference_checks_requirements(self):
         with pytest.raises(ConstraintViolation):
             reference_evaluate("kerridge", make_distribution([0.5, 0.5]))
+
+
+class TestDeclaredWeightRules:
+    """Each row's weight rule is spelled as entropy accepts it: filled in
+    with the row's inputs, it gives entropy the row's exact value."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_entropy_of_declared_rule(self, name, rng):
+        spec = lookup(name)
+        for _ in range(5):
+            n = int(rng.integers(2, 17))
+            p = make_distribution(random_simplex(rng, n))
+            params, weights, utilities = draw_params(name, rng, n)
+            rule = spec.weights
+            if rule != "self":
+                given = {**params, "U": weights, "V": utilities}
+                rule = (rule[0], *(given[a] for a in rule[1:]))
+            pp = spec.engine_params(spec.check_params(params))
+            got = entropy(p, rule, family=spec.family, tau=pp.tau, lam=pp.lam, c=pp.c, e=pp.e)
+            assert got == evaluate_named(name, p, weights=weights, utilities=utilities, **params)
 
 
 class TestDualRegistrations:

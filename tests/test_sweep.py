@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _samplers import draw_params, random_simplex
-from inforcer import engine, registry
+from inforcer import core, engine, registry
 from inforcer.cli import _parse_csv_file
 from inforcer.core import make_distribution
 from inforcer.errors import DomainError, InforcerError, Overflow, ParseError
@@ -84,13 +84,13 @@ def test_shared_error_is_raised_again_at_every_point():
 
 def test_escort_weights_built_once_per_distinct_beta(monkeypatch):
     calls = []
-    real = registry.escort_weights
+    real = core.escort_weights
 
     def counted(dist, beta):
         calls.append(beta)
         return real(dist, beta)
 
-    monkeypatch.setattr(registry, "escort_weights", counted)
+    monkeypatch.setattr(core, "escort_weights", counted)
     p = make_distribution([0.1, 0.2, 0.3, 0.4])
     alphas = [0.5, 0.8, 1.5, 2.0, 3.0]
     registry.evaluate_named("kapur", p, beta=0.7, sweep=("alpha", alphas))
