@@ -30,15 +30,15 @@ def _np_weighted_log2_sumexp(log2_w: np.ndarray, log2_p: np.ndarray, r: float) -
     # place (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021).
     t = np.multiply(log2_p, r)
     t += log2_w
-    m = float(np.max(t))
+    m = float(np.maximum.reduce(t))
     t -= m
     np.exp2(t, out=t)
-    return m + float(np.log2(np.sum(t)))
+    return m + float(np.log2(np.add.reduce(t)))
 
 
 def _np_weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
-    # np.sum reduces pairwise.
-    return float(np.sum(w * x))
+    # np.add.reduce sums pairwise.
+    return float(np.add.reduce(w * x))
 
 
 def _np_outer_flatten(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -46,9 +46,9 @@ def _np_outer_flatten(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _np_shifted_exp2_weights(t: np.ndarray) -> np.ndarray:
-    w = t - np.max(t)
+    w = t - np.maximum.reduce(t)
     np.exp2(w, out=w)
-    w /= np.sum(w)
+    w /= np.add.reduce(w)
     return w
 
 

@@ -18,6 +18,7 @@ validated in place rather than copied first.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -47,44 +48,50 @@ class _Built:
         self.arr = arr
 
 
-def _as_vector(values, what: str) -> np.ndarray:
-    if isinstance(values, _Built):
-        return values.arr
-    arr = np.array(values, dtype=float)
-    if arr.ndim != 1:
-        raise TooShort(f"{what} must be a one-dimensional vector, got shape {arr.shape}")
-    return arr
-
-
-def _check_mass(arr: np.ndarray, what: str, strictly_positive: bool) -> bool:
-    """Reject non-finite and negative (or, if asked, zero) entries;
-    returns whether every entry is strictly positive."""
-    if arr.size == 0:
-        return True
-    # nan propagates through min and max, and +-inf lands in one of them
-    lo, hi = float(arr.min()), float(arr.max())
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise NegativeMass(f"{what} entries must be finite")
-    if strictly_positive:
-        if lo <= 0.0:
-            raise NegativeMass(f"{what} entries must be strictly positive")
-    elif lo < 0.0:
-        raise NegativeMass(f"{what} entries must be nonnegative")
-    return lo > 0.0
-
-
-def _check_simplex(arr: np.ndarray, what: str) -> None:
-    if arr.size < 2:
-        raise TooShort(f"{what} needs at least two entries, got {arr.size}")
-    total = float(np.sum(arr))
-    if abs(total - 1.0) > SUM_TOL:
-        raise NotNormalized(f"{what} sums to {total!r}, expected 1 within {SUM_TOL}")
-
-
 def _freeze(obj, arr: np.ndarray, positive: bool) -> None:
-    arr.setflags(write=False)
+    """Store a read-only validated array and its positivity on obj."""
     object.__setattr__(obj, "values", arr)
     object.__setattr__(obj, "_positive", positive)
+
+
+def _validate(obj, values, what: str, strictly_positive: bool, simplex: bool) -> None:
+    """Check values and freeze them into obj, in this order: one
+    dimension, finite, nonnegative (or strictly positive), then for a
+    simplex at least two entries summing to 1 within SUM_TOL. Records
+    whether every entry is strictly positive."""
+    if isinstance(values, _Built):
+        arr = values.arr
+    else:
+        arr = np.array(values, dtype=float)
+        if arr.ndim != 1:
+            raise TooShort(f"{what} must be a one-dimensional vector, got shape {arr.shape}")
+    n = arr.size
+    positive = True
+    if n:
+        # nan propagates through min and max, and +-inf lands in one of them
+        lo, hi = float(np.minimum.reduce(arr)), float(np.maximum.reduce(arr))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise NegativeMass(f"{what} entries must be finite")
+        if strictly_positive:
+            if lo <= 0.0:
+                raise NegativeMass(f"{what} entries must be strictly positive")
+        elif lo < 0.0:
+            raise NegativeMass(f"{what} entries must be nonnegative")
+        positive = lo > 0.0
+    if simplex:
+        if n < 2:
+            raise TooShort(f"{what} needs at least two entries, got {n}")
+        if hi > 1.0:
+            # only entries above 1 can sum past the double range; the
+            # check below rejects the inf without numpy's overflow warning
+            with np.errstate(over="ignore"):
+                total = float(np.add.reduce(arr))
+        else:
+            total = float(np.add.reduce(arr))
+        if abs(total - 1.0) > SUM_TOL:
+            raise NotNormalized(f"{what} sums to {total!r}, expected 1 within {SUM_TOL}")
+    arr.setflags(write=False)
+    _freeze(obj, arr, positive)
 
 
 @dataclass(frozen=True)
@@ -97,10 +104,7 @@ class Distribution:
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        arr = _as_vector(self.values, "distribution")
-        positive = _check_mass(arr, "distribution", self.mode == "strictly_positive")
-        _check_simplex(arr, "distribution")
-        _freeze(self, arr, positive)
+        _validate(self, self.values, "distribution", self.mode == "strictly_positive", simplex=True)
 
     def __len__(self) -> int:
         return self.values.size
@@ -113,10 +117,7 @@ class WeightVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_vector(self.values, "weights")
-        positive = _check_mass(arr, "weights", strictly_positive=False)
-        _check_simplex(arr, "weights")
-        _freeze(self, arr, positive)
+        _validate(self, self.values, "weights", strictly_positive=False, simplex=True)
 
     def __len__(self) -> int:
         return self.values.size
@@ -129,8 +130,7 @@ class UtilityVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _as_vector(self.values, "utilities")
-        _freeze(self, arr, _check_mass(arr, "utilities", strictly_positive=True))
+        _validate(self, self.values, "utilities", strictly_positive=True, simplex=False)
 
     def __len__(self) -> int:
         return self.values.size
@@ -176,12 +176,34 @@ def weight_product(first, second) -> WeightVector:
     return WeightVector(_Built(backends.active_kernels().outer_flatten(a.values, b.values)))
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether a nonempty array holds no nan or inf: nan propagates
+    through min and max, and +-inf lands in one of them."""
+    return math.isfinite(np.minimum.reduce(arr)) and math.isfinite(np.maximum.reduce(arr))
+
+
+def check_length(x: np.ndarray, p: np.ndarray, what: str) -> None:
+    """Raise LengthMismatch unless x pairs entry for entry with p."""
+    if x.size != p.size:
+        raise LengthMismatch(f"{what} length {x.size} != distribution length {p.size}")
+
+
+_NO_ZEROS = contextlib.nullcontext()
+
+
+def _log2_guard(d: Distribution):
+    # log2 0 = -inf is expected, and so is what arithmetic makes of it;
+    # a distribution with no zero entry needs no errstate, which costs
+    # more than the log2 of a short vector
+    return _NO_ZEROS if d._positive else np.errstate(divide="ignore", invalid="ignore")
+
+
 def _normalized_exp2(t: np.ndarray, what: str) -> WeightVector:
     # -inf exponents are fine (they encode p_k^beta = 0); nan and +inf are
     # not. nan propagates through max, so the max alone tells all three
     # apart. With a finite max the max-shifted weights are finite: the
     # largest term is 2^0 and the normalizer lies in [1, n].
-    top = float(np.max(t))
+    top = float(np.maximum.reduce(t))
     if math.isnan(top) or top == math.inf:
         raise DegenerateWeights(f"{what}: exponent left the representable range")
     if top == -math.inf:
@@ -196,41 +218,44 @@ def escort_weights(dist, beta) -> WeightVector:
     Requires strictly positive p wherever beta < 0 or the corresponding
     term is undefined; beta = 0 terms count as 1 even at p = 0.
     """
-    p = as_distribution(dist).values
+    d = as_distribution(dist)
+    p = d.values
     b = np.asarray(beta, dtype=float)
-    if b.ndim not in (0, 1):
-        raise DegenerateWeights(f"escort exponent must be scalar or vector, got shape {b.shape}")
-    if b.ndim == 1 and b.size != p.size:
-        raise LengthMismatch(f"escort exponent length {b.size} != distribution length {p.size}")
-    if not np.all(np.isfinite(b)):
-        raise DegenerateWeights("escort exponent must be finite")
-    if b.ndim == 0 and b == 0.0:
-        t = np.zeros(p.size)  # p_k^0 = 1 for every term, zeros included
-    elif b.ndim == 0:
-        with np.errstate(divide="ignore"):
-            t = np.log2(p)
-        t *= b
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    if b.ndim == 0:
+        b = float(b)
+        if not math.isfinite(b):
+            raise DegenerateWeights("escort exponent must be finite")
+        if b == 0.0:
+            t = np.zeros(p.size)  # p_k^0 = 1 for every term, zeros included
+        else:
+            with _log2_guard(d):
+                t = np.log2(p)
+            t *= b
+    elif b.ndim == 1:
+        check_length(b, p, "escort exponent")
+        if not all_finite(b):
+            raise DegenerateWeights("escort exponent must be finite")
+        with _log2_guard(d):
             # 0 * log2(0) inside the masked branch would warn; the where()
             # replaces those slots with the exact limit 0
             t = np.where(b == 0.0, 0.0, b * np.log2(p))
+    else:
+        raise DegenerateWeights(f"escort exponent must be scalar or vector, got shape {b.shape}")
     return _normalized_exp2(t, "escort weights")
 
 
 def utility_weights(dist, beta: float, utilities) -> WeightVector:
     """Weights proportional to p_k^beta * v_k for strictly positive v."""
-    p = as_distribution(dist).values
+    d = as_distribution(dist)
     v = as_utility_vector(utilities).values
-    if v.size != p.size:
-        raise LengthMismatch(f"utilities length {v.size} != distribution length {p.size}")
+    check_length(v, d.values, "utilities")
     b = float(beta)
-    if not np.isfinite(b):
+    if not math.isfinite(b):
         raise DegenerateWeights("utility exponent must be finite")
     t = np.log2(v)
     if b != 0.0:
-        with np.errstate(divide="ignore"):
-            log2p = np.log2(p)
+        with _log2_guard(d):
+            log2p = np.log2(d.values)
         log2p *= b
         t += log2p
     return _normalized_exp2(t, "utility weights")
@@ -240,11 +265,10 @@ def tilted_weights(dist, weights) -> WeightVector:
     """External weights tilted by the probabilities: u_k p_k / sum_i u_i p_i."""
     p = as_distribution(dist).values
     u = as_weight_vector(weights).values
-    if u.size != p.size:
-        raise LengthMismatch(f"weights length {u.size} != distribution length {p.size}")
+    check_length(u, p, "weights")
     raw = u * p
-    total = float(np.sum(raw))
-    if total <= 0.0 or not np.isfinite(total):
+    total = float(np.add.reduce(raw))
+    if total <= 0.0 or not math.isfinite(total):
         raise DegenerateWeights("tilted weights: sum of u_k p_k is not positive")
     raw /= total
     return WeightVector(_Built(raw))
@@ -271,8 +295,7 @@ def resolve_weight_rule(dist, rule) -> WeightVector:
             return utility_weights(d, rule[1], rule[2])
         if kind == "external" and len(rule) == 2:
             u = as_weight_vector(rule[1])
-            if len(u) != len(d):
-                raise LengthMismatch(f"weights length {len(u)} != distribution length {len(d)}")
+            check_length(u.values, d.values, "weights")
             return u
         if kind == "tilted" and len(rule) == 2:
             return tilted_weights(d, rule[1])

@@ -32,11 +32,15 @@ from .core import (
     WeightVector,
     as_distribution,
     as_weight_vector,
+    check_length,
     direct_product,
     resolve_weight_rule,
     weight_product,
 )
-from .errors import ConstraintViolation, DegenerateWeights, DomainError, LengthMismatch
+from .errors import ConstraintViolation, DegenerateWeights, DomainError
+
+
+_LINEAR = GeneratorH.linear(1.0)
 
 
 @dataclass(frozen=True)
@@ -61,7 +65,7 @@ class MeasureParams:
         if family == "certainty":
             h = GeneratorH.exp_cert(params.c, params.e)
         elif family in ("information", "inaccuracy"):
-            h = GeneratorH.linear(1.0) if params.e == 0.0 else GeneratorH.exp_info(params.c, params.e)
+            h = _LINEAR if params.e == 0.0 else GeneratorH.exp_info(params.c, params.e)
         else:
             raise ConstraintViolation(f"unknown family {family!r}")
         return cls(params.tau, params.lam, h)
@@ -110,19 +114,18 @@ def _support_terms(weights, dist) -> list:
     w = as_weight_vector(weights)
     d = as_distribution(dist)
     u, p = w.values, d.values
-    if u.size != p.size:
-        raise LengthMismatch(f"weights length {u.size} != distribution length {p.size}")
+    check_length(u, p, "weights")
     if w._positive:
         if not d._positive:
             raise DomainError("zero probability carries nonzero weight")
         ua, pa = u, p
     else:
         active = u > 0.0
-        if not np.any(active):
+        if not active.any():
             raise DegenerateWeights("all weights are zero")
         ua = np.compress(active, u)
         pa = ua if u is p else np.compress(active, p)
-        if not d._positive and np.any(pa <= 0.0):
+        if not d._positive and (pa <= 0.0).any():
             raise DomainError("zero probability carries nonzero weight")
     log2p = np.log2(pa)
     return [ua, log2p, log2p if ua is pa else None]

@@ -15,13 +15,15 @@ The inputs a row takes, what a sweep rebuilds on and the listed weights
 all follow from the rule.
 
 Constraint rules are declarative triples (lhs, op, rhs) where each side
-is a parameter name or a number; the printed constraints string is
-derived from the same triples so documentation cannot drift from
-enforcement.
+is a parameter name or a number; each row compiles its triples once,
+when it is registered, and the printed constraints string is derived
+from the same triples so documentation cannot drift from enforcement.
 """
 from __future__ import annotations
 
 import difflib
+import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -31,9 +33,11 @@ import numpy as np
 from .core import (
     Distribution,
     WeightVector,
+    all_finite,
     as_distribution,
     as_utility_vector,
     as_weight_vector,
+    check_length,
     resolve_weight_rule,
 )
 from .duality import dual_check
@@ -41,10 +45,10 @@ from .engine import MeasureParams, PolyParams, SharedTerms, VerificationReport, 
 from .errors import ConstraintViolation, InforcerError, LengthMismatch, Overflow, UnknownMeasure
 
 _RELATIONS: dict[str, Callable[[float, float], bool]] = {
-    ">": lambda a, b: a > b,
-    "<": lambda a, b: a < b,
-    ">=": lambda a, b: a >= b,
-    "!=": lambda a, b: a != b,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "!=": operator.ne,
 }
 
 Rule = tuple
@@ -60,25 +64,33 @@ _RULE_TEXT: dict = {
 }
 
 
-def _operand(params: dict, token) -> float:
-    """Resolve a rule operand: a number, a parameter name, or the two
-    compound forms "a*b" and "a-1" used by a handful of rows."""
-    if not isinstance(token, str):
-        return float(token)
-    if token in params:
-        return float(params[token])
-    if "*" in token:
-        left, right = token.split("*", 1)
-        return _operand(params, left) * _operand(params, right)
-    if "-" in token and not token.lstrip("-").isalpha():
-        left, right = token.rsplit("-", 1)
-        return _operand(params, left) - float(right)
-    return float(token)
+def _operand(token, names: tuple) -> Callable[[dict], float]:
+    """Compile a rule operand into a reader of checked parameters: a
+    number, a parameter name, or the two compound forms "a*b" and "a-1"
+    used by a handful of rows."""
+    if isinstance(token, str):
+        if token in names:
+            return operator.itemgetter(token)
+        if "*" in token:
+            left, right = (_operand(t, names) for t in token.split("*", 1))
+            return lambda ps: left(ps) * right(ps)
+        if "-" in token and not token.lstrip("-").isalpha():
+            left, right = token.rsplit("-", 1)
+            minuend, subtrahend = _operand(left, names), float(right)
+            return lambda ps: minuend(ps) - subtrahend
+    value = float(token)
+    return lambda ps: value
 
 
 def _rule_text(rule: Rule) -> str:
     lhs, op, rhs = rule
     return f"{lhs} {op} {rhs}"
+
+
+def _compile_rule(rule: Rule, names: tuple) -> tuple:
+    """(relation, lhs reader, rhs reader, text) for one rule triple."""
+    lhs, op, rhs = rule
+    return _RELATIONS[op], _operand(lhs, names), _operand(rhs, names), _rule_text(rule)
 
 
 @dataclass(frozen=True)
@@ -94,6 +106,10 @@ class MeasureSpec:
     engine: Callable[[dict], PolyParams] = field(repr=False, default=None)
     reference: Callable = field(repr=False, default=None)
     dual: Callable[[dict], tuple[str, dict]] | None = field(repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        # the rules are compiled once; check_params only reads them
+        object.__setattr__(self, "_checks", tuple(_compile_rule(r, self.params) for r in self.rules))
 
     @property
     def constraints(self) -> str:
@@ -132,17 +148,16 @@ class MeasureSpec:
             v = given[k]
             if k == "betas":
                 arr = np.asarray(v, dtype=float)
-                if arr.ndim != 1 or arr.size == 0 or not np.all(np.isfinite(arr)):
+                if arr.ndim != 1 or arr.size == 0 or not all_finite(arr):
                     raise ConstraintViolation(f"{self.name}: betas must be a finite vector")
                 ps[k] = arr
             else:
-                ps[k] = float(v)
-                if not np.isfinite(ps[k]):
+                ps[k] = x = float(v)
+                if not math.isfinite(x):
                     raise ConstraintViolation(f"{self.name}: {k} must be finite")
-        for rule in self.rules:
-            lhs, op, rhs = rule
-            if not _RELATIONS[op](_operand(ps, lhs), _operand(ps, rhs)):
-                raise ConstraintViolation(f"{self.name}: constraint violated: {_rule_text(rule)}")
+        for relation, lhs, rhs, text in self._checks:
+            if not relation(lhs(ps), rhs(ps)):
+                raise ConstraintViolation(f"{self.name}: constraint violated: {text}")
         return ps
 
     def engine_params(self, ps: dict) -> PolyParams:
@@ -153,8 +168,9 @@ class MeasureSpec:
 
     def _inputs(self, dist, weights, utilities) -> tuple:
         """(distribution, external weights or None, utilities or None),
-        validated, with exactly the inputs this row's weight rule reads
-        and each as long as the distribution."""
+        validated, with exactly the inputs this row's weight rule reads.
+        Their lengths are left to the rule's builder in
+        resolve_weight_rule, which checks each once."""
         d = as_distribution(dist)
         u = as_weight_vector(weights) if weights is not None else None
         v = as_utility_vector(utilities) if utilities is not None else None
@@ -167,9 +183,6 @@ class MeasureSpec:
             raise ConstraintViolation(f"{self.name}: takes no external weight vector")
         if v is not None and "V" not in reads:
             raise ConstraintViolation(f"{self.name}: takes no utility vector")
-        for x, what in ((u, "weights"), (v, "utilities")):
-            if x is not None and len(x) != len(d):
-                raise LengthMismatch(f"{what} length {len(x)} != distribution length {len(d)}")
         return d, u, v
 
     def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
@@ -778,6 +791,9 @@ def reference_evaluate(
     spec = lookup(name)
     ps = spec.check_params(params)
     d, u, v = spec._inputs(dist, weights, utilities)
+    for x, what in ((u, "weights"), (v, "utilities")):
+        if x is not None:
+            check_length(x.values, d.values, what)
     return spec.reference(d, ps, u, v)
 
 
@@ -803,11 +819,11 @@ def dual_verify(
     the transform identity requires a shared inner mean.
     """
     spec = lookup(name)
+    if spec.family != "certainty" or spec.dual is None:
+        raise ConstraintViolation(f"{name}: no information counterpart registered")
     ps = spec.check_params(params)
     d = as_distribution(dist)
     w = spec.build_weights(d, ps, weights)
-    if spec.family != "certainty" or spec.dual is None:
-        raise ConstraintViolation(f"{name}: no information counterpart registered")
     info_name, info_params = spec.dual(ps)
     info_spec = lookup(info_name)
     info_pp = info_spec.engine_params(info_spec.check_params(info_params))

@@ -231,6 +231,50 @@ LIST_WEIGHTS = {
 }
 
 
+# The printed constraints, which check_params enforces from the same
+# rule triples (tests/test_registry.py breaks each rule in turn).
+LIST_CONSTRAINTS = {
+    "shannon": "none",
+    "renyi": "alpha > 0, alpha != 1",
+    "varma_a": "mu >= 1, alpha < mu, alpha > mu-1",
+    "varma_b": "mu >= 1, alpha < mu, alpha > mu-1",
+    "nath_a": "alpha > 0, alpha != 1, mu > 0",
+    "nath_b": "alpha > 0, alpha != 1, mu > 0",
+    "aczel_daroczy_a": "none",
+    "aczel_daroczy_b": "alpha != beta",
+    "kapur": "alpha > 0, alpha != 1, beta > 0",
+    "rathie": "alpha > 0, alpha != 1",
+    "khan_autar": "alpha > 0, alpha != 1, beta > 0",
+    "singh": "alpha > 0, alpha != 1, beta > 0",
+    "havrda_charvat": "gamma > 0, gamma != 1",
+    "sharma_mittal_a": "gamma > 0, gamma != 1",
+    "sharma_mittal_b": "alpha > 0, alpha != 1, gamma > 0, gamma != 1",
+    "tsallis": "gamma > 0, gamma != 1",
+    "frank_daffertshofer_a": "gamma > 0, gamma != 1",
+    "frank_daffertshofer_b": "alpha > 0, alpha != 1, gamma > 0, gamma != 1",
+    "arimoto": "gamma > 0, gamma != 1",
+    "boekee_van_der_lubbe": "gamma > 0, gamma != 1",
+    "van_der_lubbe_a": "tau < 0",
+    "van_der_lubbe_b": "tau < 0, lam != 0",
+    "van_der_lubbe_c": "tau < 0, c*e > 0",
+    "van_der_lubbe_d": "tau < 0, lam != 0, c*e > 0",
+    "kerridge": "none",
+    "nath_inaccuracy_a": "gamma > 0, gamma != 1",
+    "nath_inaccuracy_b": "alpha > 0, alpha != 1",
+    "gupta_sharma_a": "gamma > 0, gamma != 1",
+    "gupta_sharma_b": "alpha > 0, alpha != 1, gamma > 0, gamma != 1",
+    "onicescu": "none",
+    "teodorescu": "gamma > 1",
+    "pardo_taneja": "gamma > 1",
+    "pardo": "gamma > 1",
+    "tuteja": "beta > 1, gamma > 1",
+    "van_der_lubbe_certainty_a": "tau > 0",
+    "van_der_lubbe_certainty_b": "tau > 0, lam != 0",
+    "bhatia_a": "tau > 0",
+    "bhatia_b": "tau > 0, lam != 0",
+}
+
+
 class TestList:
     def test_plain_row_count(self, capsys):
         code, out, _ = invoke(capsys, ["list"])
@@ -250,6 +294,10 @@ class TestList:
         _, out, _ = invoke(capsys, ["list", "--format", "json"])
         got = [(r["name"], (r["weights"], r["needs_weights"], r["needs_utilities"])) for r in json.loads(out)]
         assert got == list(LIST_WEIGHTS.items())
+
+    def test_json_constraints_column(self, capsys):
+        _, out, _ = invoke(capsys, ["list", "--format", "json"])
+        assert {r["name"]: r["constraints"] for r in json.loads(out)} == LIST_CONSTRAINTS
 
     def test_csv_header(self, capsys):
         code, out, _ = invoke(capsys, ["list", "--format", "csv"])
@@ -338,6 +386,18 @@ class TestDual:
     def test_information_row_rejected(self, capsys):
         code, _, err = invoke(capsys, ["dual", "--measure", "shannon", "--p", "0.5,0.5"])
         assert code == 2 and "ConstraintViolation" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--measure", "kerridge"],
+        ["--measure", "kerridge", "--u", "0.5,0.5"],
+        ["--measure", "renyi"],
+        ["--measure", "renyi", "--alpha", "2"],
+    ])
+    def test_row_without_counterpart_rejected_before_its_inputs(self, capsys, argv):
+        # a missing weight vector or parameter is not the mistake to report
+        code, out, err = invoke(capsys, ["dual", *argv, "--p", "0.5,0.5"])
+        assert (code, out) == (2, "")
+        assert err == f"error[ConstraintViolation]: {argv[1]}: no information counterpart registered\n"
 
     def test_utilities_rejected(self, capsys):
         code, out, err = invoke(capsys, ["dual", "--measure", "onicescu", "--p", "0.5,0.5", "--v", "1,2"])

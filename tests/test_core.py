@@ -277,3 +277,67 @@ class TestResolveWeightRule:
             resolve_weight_rule(make_distribution([0.5, 0.5]), "entropy")
         with pytest.raises(ValueError):
             resolve_weight_rule(make_distribution([0.5, 0.5]), ("laplace", 1.0))
+
+
+_FINITE = ("NegativeMass", "{} entries must be finite")
+_NONNEG = ("NegativeMass", "{} entries must be nonnegative")
+_POSITIVE = ("NegativeMass", "{} entries must be strictly positive")
+_SHORT = ("TooShort", "{} needs at least two entries, got {}")
+_SUM = ("NotNormalized", "{} sums to {}, expected 1 within 1e-09")
+_SHAPE = ("TooShort", "{} must be a one-dimensional vector, got shape {}")
+
+# bad input -> expected (type, message) for Distribution, strict
+# Distribution, WeightVector and UtilityVector; None means accepted.
+# Several inputs break two rules at once, so the table pins which check
+# runs first. The messages are the validated vector's own name, then
+# the format arguments.
+_CONTRACT = [
+    ([np.nan], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([-1.0], (_NONNEG,), (_POSITIVE,), (_NONNEG,), (_POSITIVE,)),
+    ([], (_SHORT, 0), (_SHORT, 0), (_SHORT, 0), None),
+    ([np.inf, -np.inf], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([np.inf, 0.5], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([-1.0, np.nan], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([0.0, 0.9], (_SUM, "0.9"), (_POSITIVE,), (_SUM, "0.9"), (_POSITIVE,)),
+    ([0.0, 1.0], None, (_POSITIVE,), None, (_POSITIVE,)),
+    ([-1.0, 2.0], (_NONNEG,), (_POSITIVE,), (_NONNEG,), (_POSITIVE,)),
+    ([-0.5, 0.2], (_NONNEG,), (_POSITIVE,), (_NONNEG,), (_POSITIVE,)),
+    ([0.0], (_SHORT, 1), (_POSITIVE,), (_SHORT, 1), (_POSITIVE,)),
+    ([1.0], (_SHORT, 1), (_SHORT, 1), (_SHORT, 1), None),
+    ([[0.5, 0.5]], (_SHAPE, (1, 2)), (_SHAPE, (1, 2)), (_SHAPE, (1, 2)), (_SHAPE, (1, 2))),
+    (1.0, (_SHAPE, ()), (_SHAPE, ()), (_SHAPE, ()), (_SHAPE, ())),
+    ([0.5, 0.5 + 2e-9], (_SUM, "1.0000000020000002"), (_SUM, "1.0000000020000002"),
+     (_SUM, "1.0000000020000002"), None),
+    ([0.25, 0.25, 0.25, 0.25 + 5e-10], None, None, None, None),
+]
+
+_CONSTRUCTORS = [
+    ("distribution", lambda v: Distribution(v)),
+    ("distribution", lambda v: Distribution(v, "strictly_positive")),
+    ("weights", WeightVector),
+    ("utilities", UtilityVector),
+]
+
+
+class TestValidationContract:
+    @pytest.mark.parametrize("row", _CONTRACT, ids=lambda row: repr(row[0]))
+    def test_type_and_message(self, row):
+        values, *expected = row
+        for (what, make), want in zip(_CONSTRUCTORS, expected):
+            if want is None:
+                make(values)
+                continue
+            (kind, template), *args = want
+            with pytest.raises(Exception) as info:
+                make(values)
+            assert (type(info.value).__name__, str(info.value)) == (kind, template.format(what, *args))
+
+    def test_mode_is_checked_before_the_values(self):
+        with pytest.raises(ValueError, match=r"^mode must be one of \('nonneg', 'strictly_positive'\), got 'x'$"):
+            Distribution([np.nan], "x")
+
+    def test_overflowing_sum_is_not_normalized_without_a_warning(self):
+        # tier-1 turns numpy's RuntimeWarning into an error
+        for make in (make_distribution, WeightVector):
+            with pytest.raises(NotNormalized, match=r"sums to inf, expected 1 within 1e-09$"):
+                make([1e308, 1e308])

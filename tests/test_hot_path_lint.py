@@ -1,0 +1,51 @@
+"""The per-call paths reduce through the ufuncs themselves.
+
+np.sum, np.max, np.min, np.all and np.any wrap np.add.reduce,
+np.maximum.reduce, np.minimum.reduce and the ndarray methods .all() and
+.any() in a few microseconds of Python dispatch each, which is most of
+a small-n call. Finiteness is judged by min and max on vectors and by
+math.isfinite on Python floats, so np.isfinite has no use there either.
+The closed-form references (registry._ref_*) are exempt: they are
+written straight from the textbook formulas and no call runs them on
+the engine path.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "inforcer"
+HOT = ("core.py", "engine.py", "backends.py", "registry.py")
+BANNED = {"sum", "max", "min", "all", "any", "isfinite"}
+
+
+def banned_calls(source: str) -> list:
+    """(line, "np.name") for each banned numpy call outside _ref_* functions."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_ref_"):
+            return
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and node.func.attr in BANNED
+        ):
+            found.append((node.lineno, f"np.{node.func.attr}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_lint_sees_a_banned_call():
+    sample = "def f(x):\n    return np.sum(x)\n\ndef _ref_g(x):\n    return np.max(x)\n"
+    assert banned_calls(sample) == [(2, "np.sum")]
+
+
+@pytest.mark.parametrize("name", HOT)
+def test_no_wrapped_reductions_on_hot_paths(name):
+    assert banned_calls((SRC / name).read_text()) == []

@@ -9,12 +9,14 @@ from inforcer import (
     UnknownMeasure,
     WeightVector,
     dual_counterpart,
+    dual_verify,
     entropy,
     evaluate_named,
     list_measures,
     lookup,
     make_distribution,
     reference_evaluate,
+    resolve_weight_rule,
 )
 from _samplers import draw_params, random_simplex
 
@@ -113,9 +115,75 @@ class TestParamChecking:
             with pytest.raises(LengthMismatch, match="utilities length 3 != distribution length 2"):
                 route("singh", p, utilities=[1.0, 2.0, 3.0], alpha=2.0, beta=1.0)
 
+    @pytest.mark.parametrize("name, rule", [("kerridge", "external"), ("pardo", "tilted")])
+    def test_weights_length_same_error_on_every_route(self, name, rule):
+        p = make_distribution([0.5, 0.5])
+        u = [0.2, 0.3, 0.5]
+        params = {} if name == "kerridge" else {"gamma": 2.0}
+        routes = [
+            lambda: evaluate_named(name, p, weights=u, **params),
+            lambda: reference_evaluate(name, p, weights=u, **params),
+            lambda: entropy(p, (rule, u)),
+            lambda: resolve_weight_rule(p, (rule, u)),
+        ]
+        for route in routes:
+            with pytest.raises(LengthMismatch, match=r"^weights length 3 != distribution length 2$"):
+                route()
+
     def test_betas_length_checked(self):
         with pytest.raises(LengthMismatch):
             evaluate_named("rathie", make_distribution([0.5, 0.5]), alpha=2.0, betas=[1.0, 2.0, 3.0])
+
+
+# A valid parameter set per row is drawn by _samplers.draw_params; each
+# entry here breaks the rule it names when applied on top of one.
+_BREAKS = {
+    "alpha > 0": lambda ps: {"alpha": 0.0},
+    "alpha != 1": lambda ps: {"alpha": 1.0},
+    "alpha < mu": lambda ps: {"alpha": ps["mu"]},
+    "alpha > mu-1": lambda ps: {"alpha": ps["mu"] - 1.0},
+    "alpha != beta": lambda ps: {"alpha": ps["beta"]},
+    "mu >= 1": lambda ps: {"mu": 0.5, "alpha": 0.25},
+    "mu > 0": lambda ps: {"mu": 0.0},
+    "beta > 0": lambda ps: {"beta": 0.0},
+    "beta > 1": lambda ps: {"beta": 1.0},
+    "gamma > 0": lambda ps: {"gamma": 0.0},
+    "gamma != 1": lambda ps: {"gamma": 1.0},
+    "gamma > 1": lambda ps: {"gamma": 1.0},
+    "tau < 0": lambda ps: {"tau": 0.0},
+    "tau > 0": lambda ps: {"tau": 0.0},
+    "lam != 0": lambda ps: {"lam": 0.0},
+    "c*e > 0": lambda ps: {"e": -ps["e"]},
+}
+
+
+class TestEachRuleEnforced:
+    """Every printed constraint is enforced as printed: a parameter set
+    that breaks that rule alone, judged by reading the printed text as a
+    Python expression, is refused with exactly that text."""
+
+    @staticmethod
+    def _broken(spec, ps) -> list:
+        texts = [] if spec.constraints == "none" else spec.constraints.split(", ")
+        return [t for t in texts if not eval(t, {}, dict(ps))]
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_breaking_one_rule_names_it(self, name, rng):
+        spec = lookup(name)
+        valid, _, _ = draw_params(name, rng, 3)
+        assert self._broken(spec, valid) == []
+        spec.check_params(valid)
+        for lhs, op, rhs in spec.rules:
+            text = f"{lhs} {op} {rhs}"
+            ps = {**valid, **_BREAKS[text](valid)}
+            assert self._broken(spec, ps) == [text]
+            with pytest.raises(ConstraintViolation) as info:
+                spec.check_params(ps)
+            assert str(info.value) == f"{name}: constraint violated: {text}"
+
+    def test_every_rule_is_broken_somewhere(self):
+        texts = {f"{lhs} {op} {rhs}" for s in list_measures() for lhs, op, rhs in s.rules}
+        assert texts == set(_BREAKS)
 
 
 class TestKnownValues:
@@ -300,3 +368,13 @@ class TestDualRegistrations:
     def test_information_rows_have_no_counterpart(self):
         with pytest.raises(ConstraintViolation):
             dual_counterpart("shannon")
+
+    @pytest.mark.parametrize("name, given", [
+        ("kerridge", {}),                         # would lack its weights
+        ("kerridge", {"weights": [0.5, 0.5]}),
+        ("renyi", {}),                            # would lack alpha
+        ("renyi", {"alpha": 2.0}),
+    ])
+    def test_dual_verify_rejects_row_without_counterpart_first(self, name, given):
+        with pytest.raises(ConstraintViolation, match=rf"^{name}: no information counterpart registered$"):
+            dual_verify(name, make_distribution([0.5, 0.5]), **given)
