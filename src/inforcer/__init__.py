@@ -12,9 +12,7 @@ from .composition import (
     apply_h,
     compose,
     invert_h,
-    mult_compose,
     op_for_generator,
-    pseudo_add,
 )
 from .core import (
     Distribution,
@@ -28,7 +26,7 @@ from .core import (
     utility_weights,
     weight_product,
 )
-from .duality import DualityMap, certainty_to_inaccuracy, dual_check
+from .duality import dual_check
 from .engine import (
     MeasureParams,
     PolyParams,
@@ -59,7 +57,6 @@ from .errors import (
 )
 from .registry import (
     MeasureSpec,
-    dual_counterpart,
     dual_verify,
     evaluate_named,
     list_measures,
@@ -75,7 +72,6 @@ __all__ = [
     "DegenerateWeights",
     "Distribution",
     "DomainError",
-    "DualityMap",
     "GeneratorH",
     "InforcerError",
     "LengthMismatch",
@@ -96,11 +92,9 @@ __all__ = [
     "ZeroScale",
     "apply_h",
     "certainty",
-    "certainty_to_inaccuracy",
     "compose",
     "direct_product",
     "dual_check",
-    "dual_counterpart",
     "dual_verify",
     "entropy",
     "escort_weights",
@@ -112,9 +106,7 @@ __all__ = [
     "list_measures",
     "lookup",
     "make_distribution",
-    "mult_compose",
     "op_for_generator",
-    "pseudo_add",
     "quasi_mean_exponent",
     "reference_evaluate",
     "resolve_weight_rule",

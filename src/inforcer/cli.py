@@ -123,7 +123,8 @@ def read_vector(source: str, what: str) -> np.ndarray:
 def _maybe_renormalize(arr: np.ndarray, renormalize: bool, what: str) -> np.ndarray:
     if not renormalize:
         return arr
-    total = float(np.sum(arr))
+    with np.errstate(over="ignore"):  # an inf sum is rejected below
+        total = float(np.add.reduce(arr))
     if not (math.isfinite(total) and total > 0.0):
         raise NotNormalized(f"{what}: cannot renormalize, sum is {total!r}")
     return arr / total
@@ -245,32 +246,17 @@ def _engine_dict(ep: PolyParams) -> dict:
 
 
 def _emit_report(args, report, fields: dict) -> int:
-    status = "PASS" if report.passed else "FAIL"
+    numbers = {k: getattr(report, k) for k in ("lhs", "rhs", "abs_err", "rel_err", "tolerance")}
     if args.format == "json":
-        payload = dict(fields)
-        payload.update(
-            lhs=report.lhs, rhs=report.rhs,
-            abs_err=report.abs_err, rel_err=report.rel_err,
-            tolerance=report.tolerance, passed=report.passed,
-        )
-        print(json.dumps(payload))
-    elif args.format == "csv":
-        header = list(fields) + ["lhs", "rhs", "abs_err", "rel_err", "tolerance", "status"]
-        row = list(fields.values()) + [
-            format_number(report.lhs), format_number(report.rhs),
-            format_number(report.abs_err), format_number(report.rel_err),
-            format_number(report.tolerance), status,
-        ]
-        _print_csv([header, row])
+        print(json.dumps({**fields, **numbers, "passed": report.passed}))
     else:
-        for key, value in fields.items():
-            print(f"{key}: {value}")
-        print(f"lhs: {format_number(report.lhs)}")
-        print(f"rhs: {format_number(report.rhs)}")
-        print(f"abs_err: {format_number(report.abs_err)}")
-        print(f"rel_err: {format_number(report.rel_err)}")
-        print(f"tolerance: {format_number(report.tolerance)}")
-        print(f"status: {status}")
+        shown = {**fields, **{k: format_number(v) for k, v in numbers.items()},
+                 "status": "PASS" if report.passed else "FAIL"}
+        if args.format == "csv":
+            _print_csv([list(shown), list(shown.values())])
+        else:
+            for key, value in shown.items():
+                print(f"{key}: {value}")
     return 0 if report.passed else 3
 
 
@@ -303,7 +289,7 @@ def _cmd_compute(args) -> int:
             c=args.c if args.c is not None else 1.0,
             e=args.e if args.e is not None else default_e,
         )
-        value = entropy(p, "self" if u is None else u, family=args.family,
+        value = entropy(p, "self" if u is None else ("external", u), family=args.family,
                         tau=ep.tau, lam=ep.lam, c=ep.c, e=ep.e)
         name = "raw"
         shown_params = {"family": args.family}
@@ -379,12 +365,10 @@ def _cmd_verify(args) -> int:
 def _cmd_dual(args) -> int:
     if args.tolerance <= 0 or not math.isfinite(args.tolerance):
         raise UsageError("--tolerance must be positive")
-    if args.v is not None:
-        raise UsageError("dual reads no utilities; drop --v")
-    p, u, _ = _load_vectors(args)
+    p, u, v = _load_vectors(args)
     params = _collected_params(args)
     report, counterpart = registry.dual_verify(
-        args.measure, p, weights=u, tolerance=args.tolerance, **params
+        args.measure, p, weights=u, utilities=v, tolerance=args.tolerance, **params
     )
     return _emit_report(args, report, {"check": "duality", "measure": args.measure, "counterpart": counterpart})
 

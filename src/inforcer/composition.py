@@ -62,10 +62,6 @@ class GeneratorH:
     def exp_cert(cls, c: float, e: float) -> "GeneratorH":
         return cls("exp_cert", c=c, e=e)
 
-    @property
-    def is_increasing(self) -> bool:
-        return self.kind != "exp_cert"
-
 
 def _exp2(z: float) -> float:
     if z >= _MAX_EXP2:
@@ -101,18 +97,6 @@ def invert_h(h: GeneratorH, y: float) -> float:
     if arg <= 0.0:
         raise OutOfRange(f"{y!r} is outside the range of an exp_cert generator with e={h.e!r}")
     return -math.log2(arg) / h.c
-
-
-def pseudo_add(x: float, y: float, e: float) -> float:
-    """x + y + e*x*y; reduces to addition at e = 0."""
-    return x + y + e * x * y
-
-
-def mult_compose(x: float, y: float, e: float) -> float:
-    """e*x*y, the law with identity 1/e. Undefined at e = 0."""
-    if e == 0.0:
-        raise ZeroScale("multiplicative composition needs a nonzero scale e")
-    return e * x * y
 
 
 @dataclass(frozen=True)
@@ -152,9 +136,9 @@ def compose(op: CompositionOp, x: float, y: float) -> float:
     if op.kind == "additive":
         return x + y
     if op.kind == "pseudo_additive":
-        return pseudo_add(x, y, op.e)
+        return x + y + op.e * x * y
     if op.kind == "multiplicative":
-        return mult_compose(x, y, op.e)
+        return op.e * x * y
     return apply_h(op.h, invert_h(op.h, x) + invert_h(op.h, y))
 
 

@@ -188,14 +188,21 @@ def check_length(x: np.ndarray, p: np.ndarray, what: str) -> None:
         raise LengthMismatch(f"{what} length {x.size} != distribution length {p.size}")
 
 
-_NO_ZEROS = contextlib.nullcontext()
+_NO_GUARD = contextlib.nullcontext()
 
 
 def _log2_guard(d: Distribution):
     # log2 0 = -inf is expected, and so is what arithmetic makes of it;
     # a distribution with no zero entry needs no errstate, which costs
     # more than the log2 of a short vector
-    return _NO_ZEROS if d._positive else np.errstate(divide="ignore", invalid="ignore")
+    return _NO_GUARD if d._positive else np.errstate(divide="ignore", invalid="ignore")
+
+
+def _exponent_guard(b_abs: float):
+    # b * log2(p) with every |b| <= b_abs: |log2 p| <= 1074 for every
+    # positive double, so it can overflow only once |b| nears DBL_MAX/1074
+    # = 1.67e305, and its +-inf is then what _normalized_exp2 expects
+    return _NO_GUARD if b_abs <= 1.6e305 else np.errstate(over="ignore")
 
 
 def _normalized_exp2(t: np.ndarray, what: str) -> WeightVector:
@@ -228,14 +235,15 @@ def escort_weights(dist, beta) -> WeightVector:
         if b == 0.0:
             t = np.zeros(p.size)  # p_k^0 = 1 for every term, zeros included
         else:
-            with _log2_guard(d):
+            with _log2_guard(d), _exponent_guard(abs(b)):
                 t = np.log2(p)
-            t *= b
+                t *= b
     elif b.ndim == 1:
         check_length(b, p, "escort exponent")
-        if not all_finite(b):
+        lo, hi = float(np.minimum.reduce(b)), float(np.maximum.reduce(b))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DegenerateWeights("escort exponent must be finite")
-        with _log2_guard(d):
+        with _log2_guard(d), _exponent_guard(max(-lo, hi)):
             # 0 * log2(0) inside the masked branch would warn; the where()
             # replaces those slots with the exact limit 0
             t = np.where(b == 0.0, 0.0, b * np.log2(p))
@@ -254,9 +262,9 @@ def utility_weights(dist, beta: float, utilities) -> WeightVector:
         raise DegenerateWeights("utility exponent must be finite")
     t = np.log2(v)
     if b != 0.0:
-        with _log2_guard(d):
+        with _log2_guard(d), _exponent_guard(abs(b)):
             log2p = np.log2(d.values)
-        log2p *= b
+            log2p *= b
         t += log2p
     return _normalized_exp2(t, "utility weights")
 
@@ -278,15 +286,13 @@ def resolve_weight_rule(dist, rule) -> WeightVector:
     """Build the weight vector named by a rule.
 
     Accepted forms: "self"; ("escort", beta); ("utility", beta, V);
-    ("external", U); ("tilted", U); or an already-built weight vector.
+    ("external", U); ("tilted", U).
     """
     d = as_distribution(dist)
     if isinstance(rule, str):
         if rule == "self":
             return as_weight_vector(d)
         raise ValueError(f"unknown weight rule {rule!r}")
-    if isinstance(rule, (WeightVector, Distribution)):
-        return as_weight_vector(rule)
     if isinstance(rule, tuple) and rule:
         kind = rule[0]
         if kind == "escort" and len(rule) == 2:

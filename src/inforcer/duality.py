@@ -12,31 +12,10 @@ the intuition that more certainty means less information.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import engine
-from .composition import GeneratorH, apply_h, invert_h
+from .composition import apply_h, invert_h
 from .engine import MeasureParams, PolyParams, VerificationReport
 from .errors import ConstraintViolation
-
-
-@dataclass(frozen=True)
-class DualityMap:
-    """Pair of generators (h_C, h_I) defining y -> h_I(h_C^{-1}(y))."""
-
-    h_c: GeneratorH
-    h_i: GeneratorH
-
-    def __post_init__(self) -> None:
-        if self.h_c.kind != "exp_cert":
-            raise ConstraintViolation("certainty side of a duality map must be an exp_cert generator")
-        if self.h_i.kind == "exp_cert":
-            raise ConstraintViolation("information side of a duality map must be linear or exp_info")
-
-
-def certainty_to_inaccuracy(mapping: DualityMap, y: float) -> float:
-    """Map a certainty value to the paired information value."""
-    return apply_h(mapping.h_i, invert_h(mapping.h_c, y))
 
 
 def dual_check(
@@ -50,7 +29,8 @@ def dual_check(
 
     The identity needs both sides to see the same inner mean, so the
     two parameter bundles must agree on (tau, lambda); that mean is
-    computed once and both generators are applied to it.
+    computed once and both generators are applied to it. MeasureParams.of
+    picks h_C = exp_cert and h_I = linear or exp_info, and no other kind.
     """
     if (certainty_params.tau, certainty_params.lam) != (information_params.tau, information_params.lam):
         raise ConstraintViolation(
@@ -60,9 +40,8 @@ def dual_check(
         )
     mc = MeasureParams.of("certainty", certainty_params)
     mi = MeasureParams.of("information", information_params)
-    mapping = DualityMap(mc.generator, mi.generator)
     x = engine.quasi_mean_exponent(weights, dist, mc.tau, mc.lam)
     c_val = apply_h(mc.generator, x)
     i_val = apply_h(mi.generator, x)
-    mapped = certainty_to_inaccuracy(mapping, c_val)
+    mapped = apply_h(mi.generator, invert_h(mc.generator, c_val))
     return VerificationReport.from_comparison(mapped, i_val, tolerance)

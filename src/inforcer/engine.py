@@ -204,8 +204,7 @@ def entropy(
     """Measure of a single distribution under a named weight rule.
 
     weight_rule follows core.resolve_weight_rule: "self", ("escort", beta),
-    ("utility", beta, V), ("external", U), ("tilted", U), or a built
-    weight vector.
+    ("utility", beta, V), ("external", U) or ("tilted", U).
     """
     d = as_distribution(dist)
     w = resolve_weight_rule(d, weight_rule)

@@ -42,7 +42,7 @@ from .core import (
 )
 from .duality import dual_check
 from .engine import MeasureParams, PolyParams, SharedTerms, VerificationReport, inforcer_measure
-from .errors import ConstraintViolation, InforcerError, LengthMismatch, Overflow, UnknownMeasure
+from .errors import ConstraintViolation, InforcerError, Overflow, UnknownMeasure
 
 _RELATIONS: dict[str, Callable[[float, float], bool]] = {
     ">": operator.gt,
@@ -299,11 +299,9 @@ def _ref_kapur(d, ps, u, v):
 
 
 def _ref_rathie(d, ps, u, v):
-    betas = np.asarray(ps["betas"])
-    if betas.size != d.values.size:
-        raise LengthMismatch(f"betas length {betas.size} != distribution length {d.values.size}")
+    check_length(ps["betas"], d.values, "escort exponent")
     keep = d.values > 0.0
-    p, b, a = d.values[keep], betas[keep], ps["alpha"]
+    p, b, a = d.values[keep], ps["betas"][keep], ps["alpha"]
     return float(np.log2(np.sum(p ** (a + b - 1.0)) / np.sum(p ** b)) / (1.0 - a))
 
 
@@ -797,23 +795,17 @@ def reference_evaluate(
     return spec.reference(d, ps, u, v)
 
 
-def dual_counterpart(name: str, **params) -> tuple[str, dict]:
-    """Information row paired with a certainty row, with its parameters."""
-    spec = lookup(name)
-    if spec.family != "certainty" or spec.dual is None:
-        raise ConstraintViolation(f"{name}: no information counterpart registered")
-    return spec.dual(spec.check_params(params))
-
-
 def dual_verify(
     name: str,
     dist,
     *,
     weights=None,
+    utilities=None,
     tolerance: float = 1e-9,
     **params,
 ) -> tuple[VerificationReport, str]:
-    """Check a certainty row against its information counterpart.
+    """Check a certainty row, on inputs given as to evaluate_named,
+    against its information counterpart: (report, counterpart name).
 
     Both sides are evaluated with the certainty row's weight vector, as
     the transform identity requires a shared inner mean.
@@ -823,7 +815,7 @@ def dual_verify(
         raise ConstraintViolation(f"{name}: no information counterpart registered")
     ps = spec.check_params(params)
     d = as_distribution(dist)
-    w = spec.build_weights(d, ps, weights)
+    w = spec.build_weights(d, ps, weights, utilities)
     info_name, info_params = spec.dual(ps)
     info_spec = lookup(info_name)
     info_pp = info_spec.engine_params(info_spec.check_params(info_params))

@@ -143,6 +143,28 @@ class TestCompute:
         want = evaluate_named("shannon", make_distribution([0.5 / 1.1, 0.6 / 1.1]))
         assert float(out) == pytest.approx(want, rel=1e-12)
 
+    def test_renormalize_overflow_is_only_the_error(self, capsys):
+        # the pytest settings turn numpy's overflow warning into an error
+        code, out, err = invoke(capsys, ["compute", "--measure", "shannon", "--renormalize", "--p", "1e308,1e308"])
+        assert (code, out, err) == (2, "", "error[NotNormalized]: p: cannot renormalize, sum is inf\n")
+
+    @pytest.mark.parametrize("argv, what", [
+        ("--measure kapur --alpha 2 --beta 1e308 --p 0.25,0.25,0.25,0.25", "escort"),
+        ("--measure khan_autar --alpha 2 --beta 1e308 --v 1,1,1,1 --p 0.25,0.25,0.25,0.25", "utility"),
+    ])
+    def test_exponent_overflow_is_only_the_error(self, capsys, argv, what):
+        code, out, err = invoke(capsys, ["compute", *argv.split()])
+        assert (code, out, err) == (2, "", f"error[DegenerateWeights]: {what} weights: normalizer vanished\n")
+
+    def test_betas_json(self, capsys):
+        code, out, err = invoke(capsys, ["compute", "--measure", "rathie", "--alpha", "2", "--betas", "0.5,1.5",
+                                         "--p", "0.3,0.7", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"measure": "rathie", "value": 0.9808107975218221, "params": {"alpha": 2.0, "betas": [0.5, 1.5]}, '
+            '"engine": {"tau": -1.0, "lambda": -1.0, "c": 1.0, "e": 0.0}, "n": 2, "unit": "bits"}\n'
+        )
+
     def test_unnormalized_rejected_without_flag(self, capsys):
         code, _, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", "0.5,0.6"])
         assert code == 2
@@ -366,6 +388,15 @@ class TestVerify:
         )
         assert code == 1
 
+    def test_csv_report(self, capsys):
+        code, out, err = invoke(capsys, ["verify", "--measure", "renyi", "--alpha", "2", "--p", "0.2,0.8",
+                                         "--q", "0.5,0.5", "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "check,measure,lhs,rhs,abs_err,rel_err,tolerance,status\n"
+            "composability,renyi,1.55639334852,1.55639334852,2.22044604925e-16,1.42666123018e-16,1e-09,PASS\n"
+        )
+
 
 class TestDual:
     def test_onicescu_plain(self, capsys):
@@ -376,6 +407,18 @@ class TestDual:
             "lhs: 0.556393348524\nrhs: 0.556393348524\nabs_err: 0.0\n"
             "rel_err: 0.0\ntolerance: 1e-09\nstatus: PASS\n"
         )
+
+    def test_csv_report(self, capsys):
+        code, out, err = invoke(capsys, ["dual", "--measure", "onicescu", "--p", "0.2,0.8", "--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out == (
+            "check,measure,counterpart,lhs,rhs,abs_err,rel_err,tolerance,status\n"
+            "duality,onicescu,renyi,0.556393348524,0.556393348524,0.0,0.0,1e-09,PASS\n"
+        )
+
+    def test_zero_tolerance_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, ["dual", "--measure", "onicescu", "--p", "0.2,0.8", "--tolerance", "0"])
+        assert (code, out, err) == (1, "", "usage error: --tolerance must be positive\n")
 
     def test_parametrized_pair(self, capsys):
         code, out, _ = invoke(
@@ -400,9 +443,9 @@ class TestDual:
         assert err == f"error[ConstraintViolation]: {argv[1]}: no information counterpart registered\n"
 
     def test_utilities_rejected(self, capsys):
+        # the row's own input check, as for an unread --u
         code, out, err = invoke(capsys, ["dual", "--measure", "onicescu", "--p", "0.5,0.5", "--v", "1,2"])
-        assert (code, out) == (1, "")
-        assert "--v" in err
+        assert (code, out, err) == (2, "", "error[ConstraintViolation]: onicescu: takes no utility vector\n")
 
 
 class TestSweep:
@@ -472,6 +515,11 @@ class TestSweep:
              "--grid", "0.5,2.0,1.5", "--p", "0.5,0.5"],
         )
         assert code == 1 and "monotone" in err
+
+    def test_non_finite_grid_rejected(self, capsys):
+        code, out, err = invoke(capsys, ["sweep", "--measure", "tsallis", "--param", "gamma",
+                                         "--grid", "nan,2", "--p", "0.5,0.5"])
+        assert (code, out, err) == (1, "", "usage error: sweep grid must be finite\n")
 
     def test_empty_grid_rejected(self, capsys):
         code, _, err = invoke(

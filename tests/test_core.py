@@ -221,6 +221,33 @@ class TestUtilityWeights:
             utility_weights(make_distribution([0.5, 0.5]), 1.0, [1.0, -2.0])
 
 
+class TestExponentOverflow:
+    """b * log2(p) past the double range is read as the +-inf it rounds
+    to, without numpy's overflow warning (an error under the pytest settings)."""
+
+    BUILDS = {
+        "escort": lambda d, b: escort_weights(d, b),
+        "betas": lambda d, b: escort_weights(d, np.full(len(d), b)),
+        "utility": lambda d, b: utility_weights(d, b, np.ones(len(d))),
+    }
+
+    @pytest.mark.parametrize("route", BUILDS)
+    def test_every_term_vanishes(self, route):
+        what = "utility" if route == "utility" else "escort"
+        with pytest.raises(DegenerateWeights, match=rf"^{what} weights: normalizer vanished$"):
+            self.BUILDS[route](make_distribution([0.25] * 4), 1e308)
+
+    @pytest.mark.parametrize("route", BUILDS)
+    def test_negative_exponent_leaves_the_range(self, route):
+        with pytest.raises(DegenerateWeights, match=r"weights: exponent left the representable range$"):
+            self.BUILDS[route](make_distribution([0.25] * 4), -1e308)
+
+    @pytest.mark.parametrize("route", BUILDS)
+    def test_the_largest_probability_takes_all_weight(self, route):
+        w = self.BUILDS[route](make_distribution([0.25, 0.75]), 1e308)
+        assert w.values.tolist() == [0.0, 1.0]
+
+
 class TestTiltedWeights:
     def test_direct_arithmetic(self):
         w = tilted_weights(make_distribution([0.2, 0.8]), WeightVector([0.5, 0.5]))
@@ -266,7 +293,7 @@ class TestResolveWeightRule:
     def test_passthrough(self):
         d = make_distribution([0.2, 0.8])
         w = WeightVector([0.1, 0.9])
-        assert resolve_weight_rule(d, w) is w
+        assert resolve_weight_rule(d, ("external", w)) is w
 
     def test_external_length_checked(self):
         with pytest.raises(LengthMismatch):

@@ -8,7 +8,6 @@ from inforcer import (
     LengthMismatch,
     UnknownMeasure,
     WeightVector,
-    dual_counterpart,
     dual_verify,
     entropy,
     evaluate_named,
@@ -115,19 +114,20 @@ class TestParamChecking:
             with pytest.raises(LengthMismatch, match="utilities length 3 != distribution length 2"):
                 route("singh", p, utilities=[1.0, 2.0, 3.0], alpha=2.0, beta=1.0)
 
-    @pytest.mark.parametrize("name, rule", [("kerridge", "external"), ("pardo", "tilted")])
+    @pytest.mark.parametrize("name, rule", [("kerridge", "external"), ("pardo", "tilted"), ("rathie", "escort")])
     def test_weights_length_same_error_on_every_route(self, name, rule):
         p = make_distribution([0.5, 0.5])
         u = [0.2, 0.3, 0.5]
-        params = {} if name == "kerridge" else {"gamma": 2.0}
+        inputs, what = ({}, "escort exponent") if rule == "escort" else ({"weights": u}, "weights")
+        params = {"kerridge": {}, "pardo": {"gamma": 2.0}, "rathie": {"alpha": 2.0, "betas": u}}[name]
         routes = [
-            lambda: evaluate_named(name, p, weights=u, **params),
-            lambda: reference_evaluate(name, p, weights=u, **params),
+            lambda: evaluate_named(name, p, **inputs, **params),
+            lambda: reference_evaluate(name, p, **inputs, **params),
             lambda: entropy(p, (rule, u)),
             lambda: resolve_weight_rule(p, (rule, u)),
         ]
         for route in routes:
-            with pytest.raises(LengthMismatch, match=r"^weights length 3 != distribution length 2$"):
+            with pytest.raises(LengthMismatch, match=rf"^{what} length 3 != distribution length 2$"):
                 route()
 
     def test_betas_length_checked(self):
@@ -348,26 +348,30 @@ class TestDeclaredWeightRules:
 
 class TestDualRegistrations:
     def test_counterpart_names(self):
-        assert dual_counterpart("onicescu")[0] == "renyi"
-        assert dual_counterpart("teodorescu", gamma=2.0)[0] == "havrda_charvat"
-        assert dual_counterpart("pardo_taneja", gamma=2.0)[0] == "renyi"
-        assert dual_counterpart("pardo", gamma=2.0)[0] == "renyi"
-        assert dual_counterpart("tuteja", beta=2.0, gamma=2.0)[0] == "van_der_lubbe_d"
-        assert dual_counterpart("bhatia_a", beta=1.0, tau=0.5)[0] == "van_der_lubbe_a"
+        p, u = make_distribution([0.3, 0.7]), [0.5, 0.5]
+        assert dual_verify("onicescu", p)[1] == "renyi"
+        assert dual_verify("teodorescu", p, gamma=2.0)[1] == "havrda_charvat"
+        assert dual_verify("pardo_taneja", p, gamma=2.0)[1] == "renyi"
+        assert dual_verify("pardo", p, weights=u, gamma=2.0)[1] == "renyi"
+        assert dual_verify("tuteja", p, weights=u, beta=2.0, gamma=2.0)[1] == "van_der_lubbe_d"
+        assert dual_verify("bhatia_a", p, beta=1.0, tau=0.5)[1] == "van_der_lubbe_a"
 
     def test_onicescu_maps_to_collision_order(self):
-        name, params = dual_counterpart("onicescu")
+        spec = lookup("onicescu")
+        name, params = spec.dual(spec.check_params({}))
         assert name == "renyi" and params["alpha"] == 2.0
 
     def test_counterpart_params_are_valid(self, rng):
         for name in CERTAINTY_ROWS:
             params, _, _ = draw_params(name, rng, 3)
-            info_name, info_params = dual_counterpart(name, **params)
+            spec = lookup(name)
+            info_name, info_params = spec.dual(spec.check_params(params))
             lookup(info_name).check_params(info_params)
 
     def test_information_rows_have_no_counterpart(self):
+        assert lookup("shannon").dual is None
         with pytest.raises(ConstraintViolation):
-            dual_counterpart("shannon")
+            dual_verify("shannon", make_distribution([0.5, 0.5]))
 
     @pytest.mark.parametrize("name, given", [
         ("kerridge", {}),                         # would lack its weights
