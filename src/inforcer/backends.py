@@ -1,12 +1,21 @@
-"""Numeric kernels: the four hot loops of the engine, in numpy.
+"""Numeric kernels: the per-block steps of the engine's mean, in numpy.
+
+The engine walks a vector in blocks of at most engine._BLOCK entries and
+calls one kernel step per block; each step reduces its block to a
+partial that the engine combines exactly (math.fsum, and a max shift
+for the log-sum-exps), so a vector of one block gets the kernel's own
+result. The block size is a fixed constant, not a setting.
 
 Callers reach the kernels through active_kernels() rather than by
 name. That one call is the seam a tracer swaps out to time each kernel
 inside real operations, without touching the callers.
 
 Kernels assume validated input: 1-d float64 arrays, no NaNs, weights
-already restricted to their active (nonzero) support. Validation stays
-in the calling layer so the kernels run branch-free math.
+already restricted to their active (nonzero) support. Each writes its
+temporaries into the caller's buffer out, as long as its inputs (None
+lets numpy allocate them), and leaves its inputs alone unless out is
+one of them. Validation stays in the calling layer so the kernels run
+branch-free math.
 """
 from __future__ import annotations
 
@@ -18,38 +27,40 @@ import numpy as np
 
 @dataclass(frozen=True)
 class KernelSet:
-    weighted_log2_sumexp: Callable[[np.ndarray, np.ndarray, float], float]
-    weighted_sum: Callable[[np.ndarray, np.ndarray], float]
+    weighted_log2_sumexp: Callable[[np.ndarray, np.ndarray, float, np.ndarray], tuple[float, float]]
+    weighted_sum: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
     outer_flatten: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    shifted_exp2_weights: Callable[[np.ndarray], np.ndarray]
+    shifted_exp2_weights: Callable[[np.ndarray, np.ndarray], tuple[float, float]]
 
 
-def _np_weighted_log2_sumexp(log2_w: np.ndarray, log2_p: np.ndarray, r: float) -> float:
-    # log2( sum_k 2^(log2_w + r*log2_p) ), max-shifted so the largest
-    # term is 2^0 and the sum never overflows. One temporary, updated in
-    # place (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021).
-    t = np.multiply(log2_p, r)
+def _np_weighted_log2_sumexp(log2_w: np.ndarray, log2_p: np.ndarray, r: float, out: np.ndarray) -> tuple:
+    # (m, s) with log2( sum_k 2^(log2_w + r*log2_p) ) = m + log2 s,
+    # max-shifted so the largest term is 2^0 and s never overflows
+    # (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41, 2021).
+    t = np.multiply(log2_p, r, out=out)
     t += log2_w
     m = float(np.maximum.reduce(t))
     t -= m
     np.exp2(t, out=t)
-    return m + float(np.log2(np.add.reduce(t)))
+    return m, float(np.add.reduce(t))
 
 
-def _np_weighted_sum(w: np.ndarray, x: np.ndarray) -> float:
+def _np_weighted_sum(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> float:
     # np.add.reduce sums pairwise.
-    return float(np.add.reduce(w * x))
+    return float(np.add.reduce(np.multiply(w, x, out=out)))
 
 
 def _np_outer_flatten(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(a, b).ravel()
 
 
-def _np_shifted_exp2_weights(t: np.ndarray) -> np.ndarray:
-    w = t - np.maximum.reduce(t)
-    np.exp2(w, out=w)
-    w /= np.add.reduce(w)
-    return w
+def _np_shifted_exp2_weights(t: np.ndarray, out: np.ndarray) -> tuple:
+    # out = 2^(t - m) with m = max t, so log2 sum_k 2^t_k = m + log2 s
+    # for the returned (m, s).
+    m = float(np.maximum.reduce(t))
+    np.subtract(t, m, out=out)
+    np.exp2(out, out=out)
+    return m, float(np.add.reduce(out))
 
 
 _KERNELS = KernelSet(

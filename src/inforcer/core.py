@@ -198,11 +198,15 @@ def _log2_guard(d: Distribution):
     return _NO_GUARD if d._positive else np.errstate(divide="ignore", invalid="ignore")
 
 
+# |log2 p| <= 1074 for every positive double, so b * log2(p) can overflow
+# only once |b| nears DBL_MAX/1074 = 1.67e305
+SAFE_EXPONENT = 1.6e305
+
+
 def _exponent_guard(b_abs: float):
-    # b * log2(p) with every |b| <= b_abs: |log2 p| <= 1074 for every
-    # positive double, so it can overflow only once |b| nears DBL_MAX/1074
-    # = 1.67e305, and its +-inf is then what _normalized_exp2 expects
-    return _NO_GUARD if b_abs <= 1.6e305 else np.errstate(over="ignore")
+    # b * log2(p) with every |b| <= b_abs; past SAFE_EXPONENT its +-inf is
+    # what _normalized_exp2 expects
+    return _NO_GUARD if b_abs <= SAFE_EXPONENT else np.errstate(over="ignore")
 
 
 def _normalized_exp2(t: np.ndarray, what: str) -> WeightVector:
@@ -215,7 +219,94 @@ def _normalized_exp2(t: np.ndarray, what: str) -> WeightVector:
         raise DegenerateWeights(f"{what}: exponent left the representable range")
     if top == -math.inf:
         raise DegenerateWeights(f"{what}: normalizer vanished")
-    return WeightVector(_Built(backends.active_kernels().shifted_exp2_weights(t)))
+    total = backends.active_kernels().shifted_exp2_weights(t, t)[1]
+    t /= total
+    return WeightVector(_Built(t))
+
+
+class Log2Weights:
+    """An escort, utility or tilted weight rule whose inputs are validated
+    and whose weights are not built yet. The engine reads it as
+    unnormalized log2 weights g, block by block, with x = log2 p:
+
+        escort   g = beta * x           (beta a scalar or one per entry)
+        utility  g = beta * x + log2 v
+        tilted   g = log2(u * p)
+
+    weights() builds the normalized WeightVector that escort_weights,
+    utility_weights and tilted_weights return, with all their checks.
+    """
+
+    __slots__ = ("kind", "dist", "beta", "beta_abs", "extra")
+
+    def __init__(self, kind: str, dist: Distribution, beta, beta_abs: float, extra) -> None:
+        self.kind = kind
+        self.dist = dist
+        self.beta = beta          # float, 1-d array, or None (tilted)
+        self.beta_abs = beta_abs  # largest |beta|
+        self.extra = extra        # utilities v, or the external weights u of a tilted rule
+
+    def weights(self) -> WeightVector:
+        d, b = self.dist, self.beta
+        p = d.values
+        if self.kind == "tilted":
+            raw = self.extra * p
+            total = float(np.add.reduce(raw))
+            if total <= 0.0 or not math.isfinite(total):
+                raise DegenerateWeights("tilted weights: sum of u_k p_k is not positive")
+            raw /= total
+            return WeightVector(_Built(raw))
+        if self.kind == "utility":
+            t = np.log2(self.extra)
+            if b != 0.0:
+                with _log2_guard(d), _exponent_guard(self.beta_abs):
+                    log2p = np.log2(p)
+                    log2p *= b
+                t += log2p
+        elif type(b) is float:
+            if b == 0.0:
+                t = np.zeros(p.size)  # p_k^0 = 1 for every term, zeros included
+            else:
+                with _log2_guard(d), _exponent_guard(self.beta_abs):
+                    t = np.log2(p)
+                    t *= b
+        else:
+            with _log2_guard(d), _exponent_guard(self.beta_abs):
+                # 0 * log2(0) inside the masked branch would warn; the where()
+                # replaces those slots with the exact limit 0
+                t = np.where(b == 0.0, 0.0, b * np.log2(p))
+        return _normalized_exp2(t, f"{self.kind} weights")
+
+
+def _escort(d: Distribution, beta) -> Log2Weights:
+    b = np.asarray(beta, dtype=float)
+    if b.ndim == 0:
+        b = float(b)
+        if not math.isfinite(b):
+            raise DegenerateWeights("escort exponent must be finite")
+        return Log2Weights("escort", d, b, abs(b), None)
+    if b.ndim == 1:
+        check_length(b, d.values, "escort exponent")
+        lo, hi = float(np.minimum.reduce(b)), float(np.maximum.reduce(b))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DegenerateWeights("escort exponent must be finite")
+        return Log2Weights("escort", d, b, max(-lo, hi), None)
+    raise DegenerateWeights(f"escort exponent must be scalar or vector, got shape {b.shape}")
+
+
+def _utility(d: Distribution, beta, utilities) -> Log2Weights:
+    v = as_utility_vector(utilities).values
+    check_length(v, d.values, "utilities")
+    b = float(beta)
+    if not math.isfinite(b):
+        raise DegenerateWeights("utility exponent must be finite")
+    return Log2Weights("utility", d, b, abs(b), v)
+
+
+def _tilted(d: Distribution, weights) -> Log2Weights:
+    u = as_weight_vector(weights).values
+    check_length(u, d.values, "weights")
+    return Log2Weights("tilted", d, None, 0.0, u)
 
 
 def escort_weights(dist, beta) -> WeightVector:
@@ -225,61 +316,47 @@ def escort_weights(dist, beta) -> WeightVector:
     Requires strictly positive p wherever beta < 0 or the corresponding
     term is undefined; beta = 0 terms count as 1 even at p = 0.
     """
-    d = as_distribution(dist)
-    p = d.values
-    b = np.asarray(beta, dtype=float)
-    if b.ndim == 0:
-        b = float(b)
-        if not math.isfinite(b):
-            raise DegenerateWeights("escort exponent must be finite")
-        if b == 0.0:
-            t = np.zeros(p.size)  # p_k^0 = 1 for every term, zeros included
-        else:
-            with _log2_guard(d), _exponent_guard(abs(b)):
-                t = np.log2(p)
-                t *= b
-    elif b.ndim == 1:
-        check_length(b, p, "escort exponent")
-        lo, hi = float(np.minimum.reduce(b)), float(np.maximum.reduce(b))
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise DegenerateWeights("escort exponent must be finite")
-        with _log2_guard(d), _exponent_guard(max(-lo, hi)):
-            # 0 * log2(0) inside the masked branch would warn; the where()
-            # replaces those slots with the exact limit 0
-            t = np.where(b == 0.0, 0.0, b * np.log2(p))
-    else:
-        raise DegenerateWeights(f"escort exponent must be scalar or vector, got shape {b.shape}")
-    return _normalized_exp2(t, "escort weights")
+    return _escort(as_distribution(dist), beta).weights()
 
 
 def utility_weights(dist, beta: float, utilities) -> WeightVector:
     """Weights proportional to p_k^beta * v_k for strictly positive v."""
-    d = as_distribution(dist)
-    v = as_utility_vector(utilities).values
-    check_length(v, d.values, "utilities")
-    b = float(beta)
-    if not math.isfinite(b):
-        raise DegenerateWeights("utility exponent must be finite")
-    t = np.log2(v)
-    if b != 0.0:
-        with _log2_guard(d), _exponent_guard(abs(b)):
-            log2p = np.log2(d.values)
-            log2p *= b
-        t += log2p
-    return _normalized_exp2(t, "utility weights")
+    return _utility(as_distribution(dist), beta, utilities).weights()
 
 
 def tilted_weights(dist, weights) -> WeightVector:
     """External weights tilted by the probabilities: u_k p_k / sum_i u_i p_i."""
-    p = as_distribution(dist).values
-    u = as_weight_vector(weights).values
-    check_length(u, p, "weights")
-    raw = u * p
-    total = float(np.add.reduce(raw))
-    if total <= 0.0 or not math.isfinite(total):
-        raise DegenerateWeights("tilted weights: sum of u_k p_k is not positive")
-    raw /= total
-    return WeightVector(_Built(raw))
+    return _tilted(as_distribution(dist), weights).weights()
+
+
+def resolve_log2_weights(dist, rule) -> Distribution | WeightVector | Log2Weights:
+    """The weights a rule names, in the form the engine reads: the
+    distribution itself for self weights, the validated WeightVector of
+    an external rule, or the Log2Weights of an escort, utility or tilted
+    rule; none of them needs building.
+
+    Accepts the forms resolve_weight_rule accepts and raises the same
+    errors on the rule's inputs; the errors of building the weights come
+    from Log2Weights.weights().
+    """
+    d = as_distribution(dist)
+    if isinstance(rule, str):
+        if rule == "self":
+            return d
+        raise ValueError(f"unknown weight rule {rule!r}")
+    if isinstance(rule, tuple) and rule:
+        kind = rule[0]
+        if kind == "escort" and len(rule) == 2:
+            return _escort(d, rule[1])
+        if kind == "utility" and len(rule) == 3:
+            return _utility(d, rule[1], rule[2])
+        if kind == "external" and len(rule) == 2:
+            u = as_weight_vector(rule[1])
+            check_length(u.values, d.values, "weights")
+            return u
+        if kind == "tilted" and len(rule) == 2:
+            return _tilted(d, rule[1])
+    raise ValueError(f"unknown weight rule {rule!r}")
 
 
 def resolve_weight_rule(dist, rule) -> WeightVector:
@@ -288,21 +365,5 @@ def resolve_weight_rule(dist, rule) -> WeightVector:
     Accepted forms: "self"; ("escort", beta); ("utility", beta, V);
     ("external", U); ("tilted", U).
     """
-    d = as_distribution(dist)
-    if isinstance(rule, str):
-        if rule == "self":
-            return as_weight_vector(d)
-        raise ValueError(f"unknown weight rule {rule!r}")
-    if isinstance(rule, tuple) and rule:
-        kind = rule[0]
-        if kind == "escort" and len(rule) == 2:
-            return escort_weights(d, rule[1])
-        if kind == "utility" and len(rule) == 3:
-            return utility_weights(d, rule[1], rule[2])
-        if kind == "external" and len(rule) == 2:
-            u = as_weight_vector(rule[1])
-            check_length(u.values, d.values, "weights")
-            return u
-        if kind == "tilted" and len(rule) == 2:
-            return tilted_weights(d, rule[1])
-    raise ValueError(f"unknown weight rule {rule!r}")
+    w = resolve_log2_weights(dist, rule)
+    return w.weights() if type(w) is Log2Weights else as_weight_vector(w)

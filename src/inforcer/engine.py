@@ -11,6 +11,15 @@ weight annihilates its term no matter what p_k is. The lambda != 0 sum
 runs in the log2 domain with a max shift, so exponents tau*lambda*log2(p)
 of hundreds are exact to working precision instead of overflowing.
 
+The mean is one pass over memory. quasi_mean_exponent walks the support
+in blocks of _BLOCK entries, and one kernel step per block (backends)
+reduces each to a partial. The partials combine exactly, with math.fsum
+and, for the log-sum-exps, a shift by the largest block maximum, so a
+vector of one block gets its kernel's own result. Escort, utility and
+tilted rules reach the engine as core.Log2Weights and are normalized
+block by block, never built as a full weight vector. _BLOCK is a fixed
+constant, not a setting.
+
 A family name and its (tau, lambda, c, e) resolve once, through
 MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
 take (2^(c*x)-1)/e (e = 0 meaning the linear x itself), certainty takes
@@ -21,23 +30,26 @@ wrappers over inforcer_measure().
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import backends
 from .composition import GeneratorH, apply_h, compose, op_for_generator
 from .core import (
+    SAFE_EXPONENT,
     Distribution,
-    WeightVector,
+    Log2Weights,
     as_distribution,
     as_weight_vector,
     check_length,
     direct_product,
-    resolve_weight_rule,
+    resolve_log2_weights,
     weight_product,
 )
-from .errors import ConstraintViolation, DegenerateWeights, DomainError
+from .errors import ConstraintViolation, DegenerateWeights, DomainError, InforcerError, Overflow
 
 
 _LINEAR = GeneratorH.linear(1.0)
@@ -103,67 +115,256 @@ class VerificationReport:
         return cls(lhs, rhs, abs_err, rel_err, tolerance, passed)
 
 
-def _support_terms(weights, dist) -> list:
-    """[u, log2 p, log2 u] on the support of the weights.
+# Entries per block: three float64 buffers of this length (768 KiB) fit
+# in a core's L2 cache.
+_BLOCK = 2**15
 
-    Weights with no zero entry keep every term, so nothing is masked or
-    copied. Self weights share the distribution's array, and then log2 u
-    is log2 p itself; otherwise it is None until a lambda != 0 mean
-    computes it.
+
+def _span(a: np.ndarray, lo: int) -> np.ndarray:
+    """Entries lo .. lo + _BLOCK - 1 of a: a itself when it is one block."""
+    return a if a.size <= _BLOCK else a[lo:lo + _BLOCK]
+
+
+def _head(buf: np.ndarray | None, k: int) -> np.ndarray | None:
+    """The first k entries of a buffer: the buffer itself when k fills
+    it, and None (numpy allocates the output) without buffers."""
+    return buf if buf is None or k == buf.size else buf[:k]
+
+
+def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """a[idx] written into buf. A gather by index runs several times
+    faster than np.compress on a scattered mask; mode="clip" spares the
+    copy numpy makes of out under mode="raise", and idx is in range."""
+    return np.take(a, idx, out=_head(buf, idx.size), mode="clip")
+
+
+def _linear_block(w, d: Distribution, lam0: bool, bufs: np.ndarray, lo: int):
+    """[u, log2 p, log2 u, None] for the block of entries from lo, on the
+    support of weights w that sum to 1 over all blocks together, written
+    into bufs[0] and bufs[1]; None if no entry of the block is active.
+    u is None at lambda != 0; log2 u is None at lambda = 0 and for self
+    weights, whose log2 u is log2 p.
+
+    Zero weights are masked out, except at lambda = 0 over a strictly
+    positive p, where 0 * log2 p is exactly 0.
     """
-    w = as_weight_vector(weights)
-    d = as_distribution(dist)
     u, p = w.values, d.values
-    check_length(u, p, "weights")
-    if w._positive:
-        if not d._positive:
+    ub, pb = (u, p) if p.size <= _BLOCK else (u[lo:lo + _BLOCK], p[lo:lo + _BLOCK])
+    if not (d._positive and (lam0 or w._positive)):
+        idx = np.flatnonzero(ub > 0.0)
+        if not idx.size:
+            return None
+        ub = _take(ub, idx, bufs[0])
+        pb = ub if u is p else _take(pb, idx, bufs[1])
+        if not d._positive and (pb <= 0.0).any():
             raise DomainError("zero probability carries nonzero weight")
-        ua, pa = u, p
+    x = np.log2(pb) if bufs[1] is None else np.log2(pb, out=_head(bufs[1], pb.size))
+    if lam0:
+        return ub, x, None, None
+    if u is p:
+        return None, x, None, None
+    return None, x, np.log2(ub) if bufs[0] is None else np.log2(ub, out=_head(bufs[0], ub.size)), None
+
+
+def _rule_block(w: Log2Weights, lam0: bool, bufs: np.ndarray, lo: int):
+    """[u, log2 p, log2 u, (m, s)] as _linear_block gives them, for the
+    rule's weights normalized within the block: u is 2^(g - m) / s for
+    the log2 weights g of core.Log2Weights (u * p / s for tilted
+    weights, with m = 0) and s the block's sum before dividing, so the
+    block holds 2^m * s of the rule's total weight. Written into bufs[0]
+    and bufs[1], with bufs[2] as scratch; None if the block holds no
+    weight. On a block of the whole vector each step is the one that
+    building the weights takes.
+
+    Zero weights are masked out before any exp2, which leaves its fast
+    loop on -inf: the zeros of p under escort and utility weights (beta
+    is > 0 there, see _log2_domain_holds) and the zeros of u * p under
+    tilted weights.
+    """
+    ubuf, xbuf, tbuf = bufs
+    d, kind, beta = w.dist, w.kind, w.beta
+    pb = _span(d.values, lo)
+    if kind == "tilted":
+        ub = np.multiply(_span(w.extra, lo), pb, out=_head(ubuf, pb.size))
+        m, s = 0.0, float(np.add.reduce(ub))
+        if s == 0.0:
+            return None
+        if float(np.minimum.reduce(ub)) <= 0.0:
+            idx = np.flatnonzero(ub > 0.0)
+            pb, ub = _take(pb, idx, xbuf), _take(ub, idx, tbuf)
+        x = np.log2(pb, out=_head(xbuf, pb.size))
+        ub = np.divide(ub, s, out=_head(ubuf, pb.size))
     else:
-        active = u > 0.0
-        if not active.any():
-            raise DegenerateWeights("all weights are zero")
-        ua = np.compress(active, u)
-        pa = ua if u is p else np.compress(active, p)
-        if not d._positive and (pa <= 0.0).any():
-            raise DomainError("zero probability carries nonzero weight")
-    log2p = np.log2(pa)
-    return [ua, log2p, log2p if ua is pa else None]
+        idx = None
+        if not d._positive:
+            idx = np.flatnonzero(pb > 0.0)
+            if not idx.size:
+                return None
+            pb = _take(pb, idx, xbuf)
+        k = pb.size
+        x = np.log2(pb, out=_head(xbuf, k))
+        if type(beta) is not float:  # one exponent per entry
+            beta = _span(beta, lo) if idx is None else _take(_span(beta, lo), idx, tbuf)
+        g = np.multiply(x, beta, out=_head(ubuf, k))
+        if kind == "utility":
+            vb = _span(w.extra, lo) if idx is None else _take(_span(w.extra, lo), idx, tbuf)
+            g += np.log2(vb, out=_head(tbuf, k))
+        m, s = backends.active_kernels().shifted_exp2_weights(g, g)
+        ub = np.divide(g, s, out=g)
+    if float(np.minimum.reduce(ub)) <= 0.0:  # weights that underflowed annihilate their terms
+        idx = np.flatnonzero(ub > 0.0)
+        ub, x = ub[idx], x[idx]
+    if lam0:
+        return ub, x, None, (m, s)
+    return None, x, np.log2(ub, out=ub), (m, s)
+
+
+def _log2_domain_holds(w: Log2Weights) -> bool:
+    """Whether the mean over w may run on its log2 weights: every g of
+    an active entry is finite, because |beta| <= SAFE_EXPONENT, and
+    every zero of p gets weight 0, because beta > 0 there. Otherwise the
+    built weights take the mean, and building them raises what it
+    raises."""
+    d, b = w.dist, w.beta
+    if w.beta_abs > SAFE_EXPONENT:
+        return False
+    if d._positive or w.kind == "tilted":
+        return True
+    if type(b) is float:
+        return b > 0.0
+    return bool((b[d.values == 0.0] > 0.0).all())
+
+
+def _log2_sum(parts) -> float:
+    """log2 of the sum of block partials (m, s), each worth 2^m * s:
+    shifted by the largest m and added with math.fsum."""
+    top = max(m for m, _ in parts)
+    return top + float(np.log2(math.fsum(s * 2.0 ** (m - top) for m, s in parts)))
 
 
 class SharedTerms:
-    """The terms of X(U, P) that no (tau, lambda) changes, for every mean
-    taken over the same (U, P): masking and log2 run once, at the first
-    mean, so the checks a caller runs before asking for a mean still come
-    first. A failed build is tried again at the next mean.
+    """The per-block terms of X(U, P) that no (tau, lambda) changes, for
+    every mean taken over the same (U, P): masking and log2 run once, at
+    the first mean that needs them, and later means read copies of the
+    same blocks, so each mean equals one taken on its own. The checks a
+    caller runs before asking for a mean still come first. A failed
+    build is tried again at the next mean.
     """
 
-    __slots__ = ("_inputs", "_terms")
+    __slots__ = ("weights", "dist", "_blocks")
 
     def __init__(self, weights, dist) -> None:
-        self._inputs = (weights, dist)
-        self._terms = None
+        self.weights = weights
+        self.dist = dist
+        self._blocks: dict = {}
 
-    def terms(self) -> list:
-        if self._terms is None:
-            self._terms = _support_terms(*self._inputs)
-        return self._terms
+    def blocks(self, key, fresh) -> list:
+        """The blocks the iterable fresh yields, copied at the first call
+        for key."""
+        kept = self._blocks.get(key)
+        if kept is None:
+            kept = [tuple(a.copy() if type(a) is np.ndarray else a for a in b) for b in fresh]
+            self._blocks[key] = kept
+        return kept
 
 
 def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
-    """The inner mean X(U, P) before the generator is applied; |lambda|
-    <= 1e-8 takes the lambda = 0 form.
+    """The inner mean X(U, P) before the generator is applied:
 
-    weights may also be SharedTerms prepared for (weights, dist).
+        X = tau * sum_k u_k log2 p_k                 |lambda| <= 1e-8
+        X = log2( sum_k u_k p_k^(tau*lambda) ) / lambda      otherwise
+
+    weights may be a weight vector, the Log2Weights of a rule over dist
+    (core.resolve_log2_weights), or SharedTerms prepared for either.
+
+    One pass over memory: the mean walks the support in blocks of
+    _BLOCK entries through three buffers allocated per call (numpy's own
+    outputs for a vector of one block, which reuses nothing), with one
+    kernel step per block (see backends), and combines the block
+    partials exactly, with math.fsum and, for the log-sum-exps, a shift
+    by the largest block maximum (Milakov & Gimelshein, "Online
+    normalizer calculation for softmax", arXiv:1805.02867). A vector of
+    one block gets its kernel's own result.
     """
-    terms = weights.terms() if type(weights) is SharedTerms else _support_terms(weights, dist)
-    ua, log2p, log2u = terms
+    lam0 = abs(lam) <= 1e-8
+    shared = None
+    if type(weights) is SharedTerms:
+        shared, weights, dist = weights, weights.weights, weights.dist
+    d = as_distribution(dist)
+    n = d.values.size
+    # a vector of one block reuses nothing, so numpy allocates its arrays
+    bufs = np.empty((3, _BLOCK)) if n > _BLOCK else (None, None, None)
+    rule = type(weights) is Log2Weights
+    if rule and not _log2_domain_holds(weights):
+        rule, weights, shared = False, weights.weights(), None
+    if not rule:
+        # a Distribution carries values and _positive as a WeightVector does
+        weights = weights if type(weights) is Distribution else as_weight_vector(weights)
+        check_length(weights.values, d.values, "weights")
+        if weights._positive and not d._positive:
+            raise DomainError("zero probability carries nonzero weight")
+    step = partial(_rule_block, weights, lam0, bufs) if rule else partial(_linear_block, weights, d, lam0, bufs)
+    blocks = map(step, range(0, n, _BLOCK))
+    if shared is not None:
+        blocks = shared.blocks(lam0, blocks)
+    elif n <= _BLOCK:
+        blocks = (step(0),)  # the same step, without driving an iterator
+
     kern = backends.active_kernels()
-    if abs(lam) <= 1e-8:
-        return tau * kern.weighted_sum(ua, log2p)
-    if log2u is None:
-        log2u = terms[2] = np.log2(ua)
-    return kern.weighted_log2_sumexp(log2u, log2p, tau * lam) / lam
+    r = tau * lam
+    # r * log2 p can overflow only past SAFE_EXPONENT, so the common path
+    # pays this one comparison
+    huge = abs(r) > SAFE_EXPONENT
+    scratch = bufs[2]
+    parts, norms = [], []
+    for block in blocks:
+        if block is None:
+            continue
+        u, x, log2u, norm = block
+        t = scratch if scratch is None else _head(scratch, x.size)
+        if lam0:
+            parts.append(kern.weighted_sum(u, x, t))
+        else:
+            # the most negative log2 p gives the largest |r * log2 p|
+            if huge and math.isinf(r * float(np.minimum.reduce(x))):
+                raise Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
+            parts.append(kern.weighted_log2_sumexp(x if log2u is None else log2u, x, r, t))
+        norms.append(norm)
+    if len(parts) == 1:
+        # the exact combination of one partial is the partial itself
+        part = parts[0]
+        return tau * part if lam0 else (part[0] + float(np.log2(part[1]))) / lam
+    if not parts:
+        if rule:
+            weights.weights()  # raises: no block of a tilted rule holds weight
+        raise DegenerateWeights("all weights are zero")
+    if rule:
+        # each block's weights sum to 1 on their own: weigh its partial
+        # by its share of the rule's total weight
+        top = max(m for m, _ in norms)
+        mass = [s * 2.0 ** (m - top) for m, s in norms]
+        total = math.fsum(mass)
+        shares = [a / total for a in mass]
+        if lam0:
+            parts = list(map(operator.mul, parts, shares))
+        else:
+            parts = [(m, s * c) for (m, s), c in zip(parts, shares) if c > 0.0]
+    return tau * math.fsum(parts) if lam0 else _log2_sum(parts) / lam
+
+
+def weights_error(w) -> InforcerError | None:
+    """The error that building the weights of w raises, if w is a
+    Log2Weights whose weights do not build. A caller whose steps after
+    resolving the rule failed raises it in place of their own error, so
+    a weight error comes first, as if the weights had been built before
+    anything else ran. Call it outside the except clause, so the error
+    does not chain the one it replaces."""
+    if type(w) is Log2Weights:
+        try:
+            w.weights()
+        except InforcerError as err:
+            return err
+    return None
 
 
 def inforcer_content(p: float, params: MeasureParams) -> float:
@@ -207,8 +408,12 @@ def entropy(
     ("utility", beta, V), ("external", U) or ("tilted", U).
     """
     d = as_distribution(dist)
-    w = resolve_weight_rule(d, weight_rule)
-    return inforcer_measure(w, d, MeasureParams.of(family, PolyParams(tau, lam, c, e)))
+    w = resolve_log2_weights(d, weight_rule)
+    try:
+        return inforcer_measure(w, d, MeasureParams.of(family, PolyParams(tau, lam, c, e)))
+    except InforcerError as err:
+        failed = err
+    raise weights_error(w) or failed
 
 
 def verify_composability(

@@ -38,10 +38,18 @@ from .core import (
     as_utility_vector,
     as_weight_vector,
     check_length,
+    resolve_log2_weights,
     resolve_weight_rule,
 )
 from .duality import dual_check
-from .engine import MeasureParams, PolyParams, SharedTerms, VerificationReport, inforcer_measure
+from .engine import (
+    MeasureParams,
+    PolyParams,
+    SharedTerms,
+    VerificationReport,
+    inforcer_measure,
+    weights_error,
+)
 from .errors import ConstraintViolation, InforcerError, Overflow, UnknownMeasure
 
 _RELATIONS: dict[str, Callable[[float, float], bool]] = {
@@ -185,25 +193,36 @@ class MeasureSpec:
             raise ConstraintViolation(f"{self.name}: takes no utility vector")
         return d, u, v
 
-    def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
-        """The declared weight rule, its names filled in from ps and the
-        given U and V, built by resolve_weight_rule."""
+    def _rule(self, dist, ps: dict, weights, utilities) -> tuple:
+        """(distribution, the declared weight rule with its names filled
+        in from ps and the given U and V)."""
         d, u, v = self._inputs(dist, weights, utilities)
         rule = self.weights
         if rule != "self":
             rule = (rule[0], *[u if a == "U" else v if a == "V" else ps[a] for a in rule[1:]])
-        return resolve_weight_rule(d, rule)
+        return d, rule
+
+    def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
+        """The declared weight rule, its names filled in from ps and the
+        given U and V, built by resolve_weight_rule."""
+        return resolve_weight_rule(*self._rule(dist, ps, weights, utilities))
 
     def evaluate(self, ps: dict, dist, weights=None, utilities=None) -> float:
         """Evaluate this row through the engine on parameters that
-        check_params already returned."""
-        d = as_distribution(dist)
-        return self._finish(ps, self.build_weights(d, ps, weights, utilities), d)
+        check_params already returned. The engine reads escort, utility
+        and tilted rules as log2 weights and never builds them."""
+        d, rule = self._rule(dist, ps, weights, utilities)
+        w = resolve_log2_weights(d, rule)
+        return self._finish(ps, w, d, w)
 
-    def _finish(self, ps: dict, w, d: Distribution) -> float:
-        """The row's measure over weights w: a WeightVector, or
-        SharedTerms prepared for (w, d)."""
-        return inforcer_measure(w, d, MeasureParams.of(self.family, self.engine_params(ps)))
+    def _finish(self, ps: dict, w, d: Distribution, terms) -> float:
+        """The row's measure over the weights w of resolve_log2_weights,
+        with terms either w or SharedTerms prepared for (w, d)."""
+        try:
+            return inforcer_measure(terms, d, MeasureParams.of(self.family, self.engine_params(ps)))
+        except InforcerError as err:
+            failed = err
+        raise weights_error(w) or failed
 
     def sweep(self, params: dict, param: str, values, dist, weights=None, utilities=None) -> list:
         """check_params and evaluate at params with param set to each of
@@ -216,7 +235,7 @@ class MeasureSpec:
         alive at a time. A failed build is tried again at the next point.
         """
         reads = [a for a in self._reads if a in self.params]
-        key = shared = None   # weight-rule inputs, and (Distribution, SharedTerms) built for them
+        key = shared = None   # weight-rule inputs, and (Distribution, weights, SharedTerms) for them
         out: list = []
         for value in values:
             try:
@@ -224,9 +243,11 @@ class MeasureSpec:
                 k = tuple(ps[r].tobytes() if r == "betas" else ps[r] for r in reads)
                 if shared is None or k != key:
                     key, shared = k, None   # drop the previous arrays before building
-                    d = as_distribution(dist)
-                    shared = (d, SharedTerms(self.build_weights(d, ps, weights, utilities), d))
-                out.append(self._finish(ps, shared[1], shared[0]))
+                    d, rule = self._rule(dist, ps, weights, utilities)
+                    w = resolve_log2_weights(d, rule)
+                    shared = (d, w, SharedTerms(w, d))
+                d, w, terms = shared
+                out.append(self._finish(ps, w, d, terms))
             except InforcerError as err:
                 out.append(err.with_traceback(None))
         return out
@@ -814,10 +835,13 @@ def dual_verify(
     if spec.family != "certainty" or spec.dual is None:
         raise ConstraintViolation(f"{name}: no information counterpart registered")
     ps = spec.check_params(params)
-    d = as_distribution(dist)
-    w = spec.build_weights(d, ps, weights, utilities)
-    info_name, info_params = spec.dual(ps)
-    info_spec = lookup(info_name)
-    info_pp = info_spec.engine_params(info_spec.check_params(info_params))
-    report = dual_check(spec.engine_params(ps), info_pp, w, d, tolerance)
-    return report, info_name
+    d, rule = spec._rule(dist, ps, weights, utilities)
+    w = resolve_log2_weights(d, rule)
+    try:
+        info_name, info_params = spec.dual(ps)
+        info_spec = lookup(info_name)
+        info_pp = info_spec.engine_params(info_spec.check_params(info_params))
+        return dual_check(spec.engine_params(ps), info_pp, w, d, tolerance), info_name
+    except InforcerError as err:
+        failed = err
+    raise weights_error(w) or failed

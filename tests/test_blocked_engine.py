@@ -1,0 +1,208 @@
+"""The blocked engine: a vector of several blocks gives the value, the
+report and the error of the same vector taken as one block.
+
+The inputs hold 2 * _BLOCK + 17 entries, so the last block is ragged,
+and every zero and every offending entry sits in that last block.
+"""
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from inforcer import (
+    DegenerateWeights,
+    DomainError,
+    LengthMismatch,
+    Overflow,
+    PolyParams,
+    UtilityVector,
+    WeightVector,
+    dual_verify,
+    entropy,
+    evaluate_named,
+    list_measures,
+    make_distribution,
+    reference_evaluate,
+    verify_composability,
+)
+from inforcer import engine
+from _samplers import draw_params, random_simplex
+
+N = 2 * engine._BLOCK + 17
+TAIL = slice(2 * engine._BLOCK, N)       # the ragged last block
+ESCORT_ROWS = {"aczel_daroczy_a", "aczel_daroczy_b", "kapur", "bhatia_a", "bhatia_b"}
+CERTAINTY_ROWS = [s.name for s in list_measures() if s.family == "certainty"]
+
+
+def _rel(got: float, want: float) -> float:
+    return abs(got - want) / abs(want)
+
+
+def _with_zeros(rng, n: int, zeros) -> np.ndarray:
+    """A random simplex point that is zero exactly at the given indices."""
+    x = random_simplex(rng, n)
+    x[zeros] = 0.0
+    return x / math.fsum(x)
+
+
+@pytest.fixture()
+def one_block(monkeypatch):
+    """Run the body with every input as a single block."""
+    def run(fn, *args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_BLOCK", 2**20)
+            return fn(*args, **kwargs)
+    return run
+
+
+def _inputs(name, rng):
+    """(p, params, weights, utilities) for a row: p has zeros in the last
+    block, and external weights have zeros there too, wherever p does and
+    on some entries of their own."""
+    params, weights, utilities = draw_params(name, rng, N)
+    zeros = 2 * engine._BLOCK + np.array([1, 4, 9, 16])
+    p = make_distribution(_with_zeros(rng, N, zeros))
+    if weights is not None:
+        weights = WeightVector(_with_zeros(rng, N, np.concatenate([zeros, zeros[:2] + 1])))
+    if name in ESCORT_ROWS:
+        params["beta"] = abs(params["beta"]) + 0.1  # p_k^beta with beta > 0 annihilates a zero p_k
+    return p, params, weights, utilities
+
+
+@pytest.mark.parametrize("name", [s.name for s in list_measures()])
+def test_every_row_matches_its_closed_form_and_one_block(name, rng, one_block):
+    p, params, weights, utilities = _inputs(name, rng)
+    got = evaluate_named(name, p, weights=weights, utilities=utilities, **params)
+    want = reference_evaluate(name, p, weights=weights, utilities=utilities, **params)
+    single = one_block(evaluate_named, name, p, weights=weights, utilities=utilities, **params)
+    assert _rel(got, want) <= 1e-10
+    assert _rel(got, single) <= 1e-13
+
+
+@pytest.mark.parametrize("name", CERTAINTY_ROWS)
+def test_dual_reports_match_one_block(name, rng, one_block):
+    p, params, weights, _ = _inputs(name, rng)
+    report, counterpart = dual_verify(name, p, weights=weights, **params)
+    single, same = one_block(dual_verify, name, p, weights=weights, **params)
+    assert report.passed and counterpart == same
+    assert _rel(report.lhs, single.lhs) <= 1e-13
+    assert _rel(report.rhs, single.rhs) <= 1e-13
+
+
+@pytest.mark.parametrize("kind, params, external", [
+    ("information", PolyParams(-1.0, 0.0), False),
+    ("information", PolyParams(-1.0, -0.7, 0.4, 0.3), False),
+    ("inaccuracy", PolyParams(-1.3, 0.5), True),
+    ("certainty", PolyParams(-1.0, -1.0, 1.0, 1.0), True),
+])
+def test_composability_on_a_product_of_several_blocks(kind, params, external, rng, one_block):
+    # 300 * 300 = 90 000 entries: two full blocks and a ragged third
+    p = make_distribution(random_simplex(rng, 300))
+    q = make_distribution(random_simplex(rng, 300))
+    u, v = (WeightVector(random_simplex(rng, 300)), WeightVector(random_simplex(rng, 300))) if external else (p, q)
+    report = verify_composability(kind, params, u, p, v, q, tolerance=1e-12)
+    single = one_block(verify_composability, kind, params, u, p, v, q, tolerance=1e-12)
+    assert report.passed
+    assert _rel(report.lhs, single.lhs) <= 1e-13
+
+
+def _error(fn, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        fn(*args, **kwargs)
+    return type(info.value), str(info.value)
+
+
+def _tail_zero(rng, k: int = 5) -> np.ndarray:
+    return _with_zeros(rng, N, 2 * engine._BLOCK + k)
+
+
+def _error_cases(rng):
+    """(label, callable, expected type, expected message) with the
+    offending entry in the last block."""
+    z = make_distribution(_tail_zero(rng))
+    u = WeightVector(random_simplex(rng, N))                 # weight on the zero of z
+    tiny = random_simplex(rng, N)
+    tiny[N - 3] = 1e-300                                     # log2 p = -996.6
+    tiny = make_distribution(tiny / math.fsum(tiny))
+    head = np.zeros(N)
+    head[: 2 * engine._BLOCK] = random_simplex(rng, 2 * engine._BLOCK)
+    tail = np.zeros(N)
+    tail[TAIL] = random_simplex(rng, N - 2 * engine._BLOCK)
+    betas = rng.uniform(0.5, 1.5, N)
+    betas_zero, betas_negative = betas.copy(), betas.copy()
+    betas_zero[2 * engine._BLOCK + 5] = 0.0
+    betas_negative[2 * engine._BLOCK + 5] = -0.5
+    v = UtilityVector(rng.uniform(0.5, 2.0, N))
+    nonzero = "zero probability carries nonzero weight"
+    return [
+        ("external weight on a zero", lambda: evaluate_named("kerridge", z, weights=u),
+         DomainError, nonzero),
+        ("external, lambda != 0", lambda: evaluate_named("nath_inaccuracy_b", z, weights=u, alpha=2.0),
+         DomainError, nonzero),
+        ("escort beta = 0 on a zero", lambda: evaluate_named("aczel_daroczy_a", z, beta=0.0),
+         DomainError, nonzero),
+        ("per-entry beta = 0 on a zero", lambda: evaluate_named("rathie", z, alpha=2.0, betas=betas_zero),
+         DomainError, nonzero),
+        ("escort beta < 0 on a zero", lambda: evaluate_named("aczel_daroczy_b", z, alpha=2.0, beta=-1.0),
+         DegenerateWeights, "escort weights: exponent left the representable range"),
+        ("per-entry beta < 0 on a zero", lambda: evaluate_named("rathie", z, alpha=2.0, betas=betas_negative),
+         DegenerateWeights, "escort weights: exponent left the representable range"),
+        ("utility beta < 0 on a zero", lambda: entropy(z, ("utility", -1.0, v), lam=-1.0),
+         DegenerateWeights, "utility weights: exponent left the representable range"),
+        ("escort exponent past the double range", lambda: evaluate_named("aczel_daroczy_b", z, alpha=2.0, beta=1.7e308),
+         DegenerateWeights, "escort weights: normalizer vanished"),
+        ("tilted weights on disjoint supports",
+         lambda: evaluate_named("pardo", make_distribution(head), weights=WeightVector(tail), gamma=2.0),
+         DegenerateWeights, "tilted weights: sum of u_k p_k is not positive"),
+        ("dual over tilted weights on disjoint supports",
+         lambda: dual_verify("pardo", make_distribution(head), weights=WeightVector(tail), gamma=2.0),
+         DegenerateWeights, "tilted weights: sum of u_k p_k is not positive"),
+        ("tau*lambda * log2 p overflows", lambda: evaluate_named("van_der_lubbe_b", tiny, tau=-1e306, lam=1.0),
+         Overflow, "tau*lambda = -1e+306 is too large: tau*lambda*log2(p) leaves the double range"),
+        ("weights of the wrong length", lambda: evaluate_named("kerridge", z, weights=random_simplex(rng, N - 1)),
+         LengthMismatch, f"weights length {N - 1} != distribution length {N}"),
+        ("utilities of the wrong length",
+         lambda: evaluate_named("khan_autar", z, utilities=np.ones(N + 1), alpha=2.0, beta=1.0),
+         LengthMismatch, f"utilities length {N + 1} != distribution length {N}"),
+    ]
+
+
+def test_every_check_fires_in_the_last_block(rng, one_block):
+    for label, call, kind, message in _error_cases(rng):
+        assert _error(call) == (kind, message), label
+        assert one_block(_error, call) == (kind, message), label
+
+
+def test_errors_come_in_the_order_building_the_weights_gives():
+    # a lambda that overflows to -inf is checked after the weights: the
+    # escort error of beta < 0 on a zero probability still comes first
+    z = make_distribution([0.5, 0.5, 0.0])
+    assert _error(evaluate_named, "aczel_daroczy_b", z, alpha=1.7e308, beta=-1.7e308) == (
+        DegenerateWeights, "escort weights: exponent left the representable range")
+
+
+def _peak(name, dist, **kwargs):
+    tracemalloc.start()
+    try:
+        evaluate_named(name, dist, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["kapur", "khan_autar", "pardo"])
+def test_memory_stays_flat_as_the_input_grows(name):
+    # the mean runs through buffers of one block, so its peak is the same
+    # at 2^17 and 2^19 entries
+    rng = np.random.default_rng(11)
+    peaks = []
+    for n in (2**17, 2**19):
+        p = make_distribution(random_simplex(rng, n))
+        kwargs = {"alpha": 2.0, "beta": 1.5} if name != "pardo" else {"gamma": 2.0, "weights": WeightVector(p.values)}
+        if name == "khan_autar":
+            kwargs["utilities"] = UtilityVector(rng.uniform(0.5, 2.0, n))
+        peaks.append(_peak(name, p, **kwargs))
+    small, large = peaks
+    assert large <= 1.1 * small
+    assert small < 4 * 8 * engine._BLOCK + 2**16

@@ -156,6 +156,18 @@ class TestCompute:
         code, out, err = invoke(capsys, ["compute", *argv.split()])
         assert (code, out, err) == (2, "", f"error[DegenerateWeights]: {what} weights: normalizer vanished\n")
 
+    @pytest.mark.parametrize("argv", [
+        "--measure van_der_lubbe_b --tau -1e308 --lambda 1 --p 0.25,0.75",
+        "--raw --family information --tau -1e308 --lambda 1 --p 0.25,0.75",
+    ])
+    def test_tau_lambda_overflow_names_its_cause(self, capsys, argv):
+        # tau*lambda*log2(0.25) = 2e308 leaves the double range; numpy's
+        # overflow warnings are errors under the test configuration
+        code, out, err = invoke(capsys, ["compute", *argv.split()])
+        assert (code, out, err) == (
+            2, "", "error[Overflow]: tau*lambda = -1e+308 is too large: tau*lambda*log2(p) leaves the double range\n"
+        )
+
     def test_betas_json(self, capsys):
         code, out, err = invoke(capsys, ["compute", "--measure", "rathie", "--alpha", "2", "--betas", "0.5,1.5",
                                          "--p", "0.3,0.7", "--format", "json"])

@@ -46,14 +46,15 @@ class TestLambdaSwitch:
         kernels = backends.active_kernels()
         calls = []
 
-        def spy(log2u, log2p, r):
+        def spy(log2u, log2p, r, out):
             calls.append(r)
-            return kernels.weighted_log2_sumexp(log2u, log2p, r)
+            return kernels.weighted_log2_sumexp(log2u, log2p, r, out)
 
         monkeypatch.setattr(backends, "active_kernels",
                             lambda: dataclasses.replace(kernels, weighted_log2_sumexp=spy))
         lam = 1.1e-8
-        want = kernels.weighted_log2_sumexp(np.log2(self.U.values), np.log2(self.P.values), -1.3 * lam) / lam
+        m, s = kernels.weighted_log2_sumexp(np.log2(self.U.values), np.log2(self.P.values), -1.3 * lam, np.empty(4))
+        want = (m + float(np.log2(s))) / lam
         assert quasi_mean_exponent(self.U, self.P, -1.3, lam) == want
         assert calls == [-1.3 * lam]
 

@@ -130,8 +130,9 @@ class TestNoMutation:
         log2_p = np.log2(np.array([0.1, 0.3, 0.6]))
         t = np.array([-1.0, 0.5, -np.inf])
         saved = [a.copy() for a in (log2_w, log2_p, t)]
-        kern.weighted_log2_sumexp(log2_w, log2_p, -0.5)
-        kern.shifted_exp2_weights(t)
+        kern.weighted_log2_sumexp(log2_w, log2_p, -0.5, np.empty(3))
+        kern.weighted_sum(log2_w, log2_p, np.empty(3))
+        kern.shifted_exp2_weights(t, np.empty(3))
         for a, old in zip((log2_w, log2_p, t), saved):
             assert np.array_equal(a, old)
 

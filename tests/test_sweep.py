@@ -83,14 +83,16 @@ def test_shared_error_is_raised_again_at_every_point():
 
 
 def test_escort_weights_built_once_per_distinct_beta(monkeypatch):
+    # the engine reads an escort rule as log2 weights: core._escort
+    # resolves it, once per weight vector the sweep would build
     calls = []
-    real = core.escort_weights
+    real = core._escort
 
     def counted(dist, beta):
         calls.append(beta)
         return real(dist, beta)
 
-    monkeypatch.setattr(core, "escort_weights", counted)
+    monkeypatch.setattr(core, "_escort", counted)
     p = make_distribution([0.1, 0.2, 0.3, 0.4])
     alphas = [0.5, 0.8, 1.5, 2.0, 3.0]
     registry.evaluate_named("kapur", p, beta=0.7, sweep=("alpha", alphas))
@@ -101,14 +103,17 @@ def test_escort_weights_built_once_per_distinct_beta(monkeypatch):
 
 
 def test_masking_and_log2_once_per_weight_vector(monkeypatch):
+    # masking and log2 run in the block steps; a 4-entry input is one block
     calls = []
-    real = engine._support_terms
 
-    def counted(weights, dist):
-        calls.append(1)
-        return real(weights, dist)
+    def counted(real):
+        def step(*args):
+            calls.append(1)
+            return real(*args)
+        return step
 
-    monkeypatch.setattr(engine, "_support_terms", counted)
+    for name in ("_linear_block", "_rule_block"):
+        monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
     p = make_distribution([0.1, 0.2, 0.3, 0.4])
     registry.evaluate_named("renyi", p, sweep=("alpha", [0.5, 0.8, 1.5, 2.0]))
     assert len(calls) == 1
