@@ -11,8 +11,7 @@ which is why both sign pairs are admitted. exp_cert must stay positive,
 forcing e > 0 (and then c > 0 for it to decrease).
 
 Values combine under the law matching their generator: plain addition
-for linear, x + y + e*x*y for exp_info, e*x*y for exp_cert. compose()
-can also conjugate addition through any generator directly.
+for linear, x + y + e*x*y for exp_info, e*x*y for exp_cert.
 """
 from __future__ import annotations
 
@@ -105,15 +104,12 @@ class CompositionOp:
 
     kind: str
     e: float = 0.0
-    h: GeneratorH | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("additive", "pseudo_additive", "multiplicative", "via_generator"):
+        if self.kind not in ("additive", "pseudo_additive", "multiplicative"):
             raise ConstraintViolation(f"unknown composition kind {self.kind!r}")
         if self.kind == "multiplicative" and self.e == 0.0:
             raise ZeroScale("multiplicative composition needs a nonzero scale e")
-        if self.kind == "via_generator" and self.h is None:
-            raise ConstraintViolation("via_generator composition needs a generator")
 
     @classmethod
     def additive(cls) -> "CompositionOp":
@@ -127,19 +123,13 @@ class CompositionOp:
     def multiplicative(cls, e: float) -> "CompositionOp":
         return cls("multiplicative", e=e)
 
-    @classmethod
-    def via_generator(cls, h: GeneratorH) -> "CompositionOp":
-        return cls("via_generator", h=h)
-
 
 def compose(op: CompositionOp, x: float, y: float) -> float:
     if op.kind == "additive":
         return x + y
     if op.kind == "pseudo_additive":
         return x + y + op.e * x * y
-    if op.kind == "multiplicative":
-        return op.e * x * y
-    return apply_h(op.h, invert_h(op.h, x) + invert_h(op.h, y))
+    return op.e * x * y
 
 
 def op_for_generator(h: GeneratorH) -> CompositionOp:

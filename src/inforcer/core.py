@@ -35,8 +35,6 @@ from .errors import (
 
 SUM_TOL = 1e-9
 
-_MODES = ("nonneg", "strictly_positive")
-
 
 class _Built:
     """An array this module has just built and nothing else references:
@@ -99,12 +97,9 @@ class Distribution:
     """Finite probability distribution on n >= 2 outcomes."""
 
     values: np.ndarray
-    mode: str = "nonneg"
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        _validate(self, self.values, "distribution", self.mode == "strictly_positive", simplex=True)
+        _validate(self, self.values, "distribution", strictly_positive=False, simplex=True)
 
     def __len__(self) -> int:
         return self.values.size
@@ -136,13 +131,13 @@ class UtilityVector:
         return self.values.size
 
 
-def make_distribution(values, mode: str = "nonneg") -> Distribution:
+def make_distribution(values) -> Distribution:
     """Validate values into a Distribution. Never renormalizes."""
-    return Distribution(values, mode)
+    return Distribution(values)
 
 
-def as_distribution(dist, mode: str = "nonneg") -> Distribution:
-    return dist if isinstance(dist, Distribution) else Distribution(dist, mode)
+def as_distribution(dist) -> Distribution:
+    return dist if isinstance(dist, Distribution) else Distribution(dist)
 
 
 def as_weight_vector(weights) -> WeightVector:
@@ -164,9 +159,7 @@ def direct_product(first: Distribution, second: Distribution) -> Distribution:
     """Row-major product distribution (p_1 q_1, ..., p_1 q_m, p_2 q_1, ...)."""
     a = as_distribution(first)
     b = as_distribution(second)
-    flat = backends.active_kernels().outer_flatten(a.values, b.values)
-    mode = "strictly_positive" if (a.mode == b.mode == "strictly_positive") else "nonneg"
-    return Distribution(_Built(flat), mode)
+    return Distribution(_Built(backends.active_kernels().outer_flatten(a.values, b.values)))
 
 
 def weight_product(first, second) -> WeightVector:
@@ -226,8 +219,8 @@ def _normalized_exp2(t: np.ndarray, what: str) -> WeightVector:
 
 class Log2Weights:
     """An escort, utility or tilted weight rule whose inputs are validated
-    and whose weights are not built yet. The engine reads it as
-    unnormalized log2 weights g, block by block, with x = log2 p:
+    and whose weights are not built yet, read as unnormalized log2
+    weights g with x = log2 p:
 
         escort   g = beta * x           (beta a scalar or one per entry)
         utility  g = beta * x + log2 v
@@ -235,6 +228,7 @@ class Log2Weights:
 
     weights() builds the normalized WeightVector that escort_weights,
     utility_weights and tilted_weights return, with all their checks.
+    in_log2_domain() says whether the engine may read g instead.
     """
 
     __slots__ = ("kind", "dist", "beta", "beta_abs", "extra")
@@ -251,10 +245,7 @@ class Log2Weights:
         p = d.values
         if self.kind == "tilted":
             raw = self.extra * p
-            total = float(np.add.reduce(raw))
-            if total <= 0.0 or not math.isfinite(total):
-                raise DegenerateWeights("tilted weights: sum of u_k p_k is not positive")
-            raw /= total
+            raw /= float(np.add.reduce(raw))  # positive, as _tilted checked
             return WeightVector(_Built(raw))
         if self.kind == "utility":
             t = np.log2(self.extra)
@@ -276,6 +267,20 @@ class Log2Weights:
                 # replaces those slots with the exact limit 0
                 t = np.where(b == 0.0, 0.0, b * np.log2(p))
         return _normalized_exp2(t, f"{self.kind} weights")
+
+    def in_log2_domain(self) -> bool:
+        """Whether every g of an active entry is finite, because |beta| <=
+        SAFE_EXPONENT, and every zero of p gets weight 0, because beta > 0
+        there. Then building the weights raises nothing, and the engine
+        can normalize g block by block."""
+        d, b = self.dist, self.beta
+        if self.beta_abs > SAFE_EXPONENT:
+            return False
+        if d._positive or self.kind == "tilted":
+            return True
+        if type(b) is float:
+            return b > 0.0
+        return bool((b[d.values == 0.0] > 0.0).all())
 
 
 def _escort(d: Distribution, beta) -> Log2Weights:
@@ -306,6 +311,8 @@ def _utility(d: Distribution, beta, utilities) -> Log2Weights:
 def _tilted(d: Distribution, weights) -> Log2Weights:
     u = as_weight_vector(weights).values
     check_length(u, d.values, "weights")
+    if np.dot(u, d.values) <= 0.0:
+        raise DegenerateWeights("tilted weights: sum of u_k p_k is not positive")
     return Log2Weights("tilted", d, None, 0.0, u)
 
 
@@ -332,12 +339,13 @@ def tilted_weights(dist, weights) -> WeightVector:
 def resolve_log2_weights(dist, rule) -> Distribution | WeightVector | Log2Weights:
     """The weights a rule names, in the form the engine reads: the
     distribution itself for self weights, the validated WeightVector of
-    an external rule, or the Log2Weights of an escort, utility or tilted
-    rule; none of them needs building.
+    an external rule, and for an escort, utility or tilted rule its
+    Log2Weights when they are in the log2 domain, else its built
+    WeightVector.
 
-    Accepts the forms resolve_weight_rule accepts and raises the same
-    errors on the rule's inputs; the errors of building the weights come
-    from Log2Weights.weights().
+    Accepts the forms resolve_weight_rule accepts and raises, here and
+    in the same order, every error resolve_weight_rule raises, so
+    nothing the engine does later can come before a weight error.
     """
     d = as_distribution(dist)
     if isinstance(rule, str):
@@ -346,16 +354,19 @@ def resolve_log2_weights(dist, rule) -> Distribution | WeightVector | Log2Weight
         raise ValueError(f"unknown weight rule {rule!r}")
     if isinstance(rule, tuple) and rule:
         kind = rule[0]
-        if kind == "escort" and len(rule) == 2:
-            return _escort(d, rule[1])
-        if kind == "utility" and len(rule) == 3:
-            return _utility(d, rule[1], rule[2])
         if kind == "external" and len(rule) == 2:
             u = as_weight_vector(rule[1])
             check_length(u.values, d.values, "weights")
             return u
-        if kind == "tilted" and len(rule) == 2:
-            return _tilted(d, rule[1])
+        if kind == "escort" and len(rule) == 2:
+            w = _escort(d, rule[1])
+        elif kind == "utility" and len(rule) == 3:
+            w = _utility(d, rule[1], rule[2])
+        elif kind == "tilted" and len(rule) == 2:
+            w = _tilted(d, rule[1])
+        else:
+            raise ValueError(f"unknown weight rule {rule!r}")
+        return w if w.in_log2_domain() else w.weights()
     raise ValueError(f"unknown weight rule {rule!r}")
 
 

@@ -15,10 +15,12 @@ The mean is one pass over memory. quasi_mean_exponent walks the support
 in blocks of _BLOCK entries, and one kernel step per block (backends)
 reduces each to a partial. The partials combine exactly, with math.fsum
 and, for the log-sum-exps, a shift by the largest block maximum, so a
-vector of one block gets its kernel's own result. Escort, utility and
-tilted rules reach the engine as core.Log2Weights and are normalized
-block by block, never built as a full weight vector. _BLOCK is a fixed
-constant, not a setting.
+vector of one block gets its kernel's own result. The engine takes a
+rule's weights in the form core.resolve_log2_weights chose for them:
+escort, utility and tilted rules come as core.Log2Weights, normalized
+block by block and never built as a full weight vector, and come built
+only where their log2 weights cannot stand for them
+(Log2Weights.in_log2_domain). _BLOCK is a fixed constant, not a setting.
 
 A family name and its (tau, lambda, c, e) resolve once, through
 MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
@@ -49,7 +51,7 @@ from .core import (
     resolve_log2_weights,
     weight_product,
 )
-from .errors import ConstraintViolation, DegenerateWeights, DomainError, InforcerError, Overflow
+from .errors import ConstraintViolation, DegenerateWeights, DomainError, Overflow
 
 
 _LINEAR = GeneratorH.linear(1.0)
@@ -178,8 +180,8 @@ def _rule_block(w: Log2Weights, lam0: bool, bufs: np.ndarray, lo: int):
 
     Zero weights are masked out before any exp2, which leaves its fast
     loop on -inf: the zeros of p under escort and utility weights (beta
-    is > 0 there, see _log2_domain_holds) and the zeros of u * p under
-    tilted weights.
+    is > 0 there, see Log2Weights.in_log2_domain) and the zeros of u * p
+    under tilted weights.
     """
     ubuf, xbuf, tbuf = bufs
     d, kind, beta = w.dist, w.kind, w.beta
@@ -219,22 +221,6 @@ def _rule_block(w: Log2Weights, lam0: bool, bufs: np.ndarray, lo: int):
     return None, x, np.log2(ub, out=ub), (m, s)
 
 
-def _log2_domain_holds(w: Log2Weights) -> bool:
-    """Whether the mean over w may run on its log2 weights: every g of
-    an active entry is finite, because |beta| <= SAFE_EXPONENT, and
-    every zero of p gets weight 0, because beta > 0 there. Otherwise the
-    built weights take the mean, and building them raises what it
-    raises."""
-    d, b = w.dist, w.beta
-    if w.beta_abs > SAFE_EXPONENT:
-        return False
-    if d._positive or w.kind == "tilted":
-        return True
-    if type(b) is float:
-        return b > 0.0
-    return bool((b[d.values == 0.0] > 0.0).all())
-
-
 def _log2_sum(parts) -> float:
     """log2 of the sum of block partials (m, s), each worth 2^m * s:
     shifted by the largest m and added with math.fsum."""
@@ -263,7 +249,8 @@ class SharedTerms:
         for key."""
         kept = self._blocks.get(key)
         if kept is None:
-            kept = [tuple(a.copy() if type(a) is np.ndarray else a for a in b) for b in fresh]
+            # a block with no active entry stays None
+            kept = [b and tuple(a.copy() if type(a) is np.ndarray else a for a in b) for b in fresh]
             self._blocks[key] = kept
         return kept
 
@@ -275,7 +262,8 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
         X = log2( sum_k u_k p_k^(tau*lambda) ) / lambda      otherwise
 
     weights may be a weight vector, the Log2Weights of a rule over dist
-    (core.resolve_log2_weights), or SharedTerms prepared for either.
+    in the log2 domain (core.resolve_log2_weights chooses that form), or
+    SharedTerms prepared for either.
 
     One pass over memory: the mean walks the support in blocks of
     _BLOCK entries through three buffers allocated per call (numpy's own
@@ -295,8 +283,6 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
     # a vector of one block reuses nothing, so numpy allocates its arrays
     bufs = np.empty((3, _BLOCK)) if n > _BLOCK else (None, None, None)
     rule = type(weights) is Log2Weights
-    if rule and not _log2_domain_holds(weights):
-        rule, weights, shared = False, weights.weights(), None
     if not rule:
         # a Distribution carries values and _positive as a WeightVector does
         weights = weights if type(weights) is Distribution else as_weight_vector(weights)
@@ -335,8 +321,6 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
         part = parts[0]
         return tau * part if lam0 else (part[0] + float(np.log2(part[1]))) / lam
     if not parts:
-        if rule:
-            weights.weights()  # raises: no block of a tilted rule holds weight
         raise DegenerateWeights("all weights are zero")
     if rule:
         # each block's weights sum to 1 on their own: weigh its partial
@@ -350,21 +334,6 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
         else:
             parts = [(m, s * c) for (m, s), c in zip(parts, shares) if c > 0.0]
     return tau * math.fsum(parts) if lam0 else _log2_sum(parts) / lam
-
-
-def weights_error(w) -> InforcerError | None:
-    """The error that building the weights of w raises, if w is a
-    Log2Weights whose weights do not build. A caller whose steps after
-    resolving the rule failed raises it in place of their own error, so
-    a weight error comes first, as if the weights had been built before
-    anything else ran. Call it outside the except clause, so the error
-    does not chain the one it replaces."""
-    if type(w) is Log2Weights:
-        try:
-            w.weights()
-        except InforcerError as err:
-            return err
-    return None
 
 
 def inforcer_content(p: float, params: MeasureParams) -> float:
@@ -409,11 +378,7 @@ def entropy(
     """
     d = as_distribution(dist)
     w = resolve_log2_weights(d, weight_rule)
-    try:
-        return inforcer_measure(w, d, MeasureParams.of(family, PolyParams(tau, lam, c, e)))
-    except InforcerError as err:
-        failed = err
-    raise weights_error(w) or failed
+    return inforcer_measure(w, d, MeasureParams.of(family, PolyParams(tau, lam, c, e)))
 
 
 def verify_composability(

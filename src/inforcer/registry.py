@@ -48,7 +48,6 @@ from .engine import (
     SharedTerms,
     VerificationReport,
     inforcer_measure,
-    weights_error,
 )
 from .errors import ConstraintViolation, InforcerError, Overflow, UnknownMeasure
 
@@ -209,20 +208,15 @@ class MeasureSpec:
 
     def evaluate(self, ps: dict, dist, weights=None, utilities=None) -> float:
         """Evaluate this row through the engine on parameters that
-        check_params already returned. The engine reads escort, utility
-        and tilted rules as log2 weights and never builds them."""
+        check_params already returned, over the weights in the form
+        resolve_log2_weights gives them."""
         d, rule = self._rule(dist, ps, weights, utilities)
-        w = resolve_log2_weights(d, rule)
-        return self._finish(ps, w, d, w)
+        return self._finish(ps, d, resolve_log2_weights(d, rule))
 
-    def _finish(self, ps: dict, w, d: Distribution, terms) -> float:
-        """The row's measure over the weights w of resolve_log2_weights,
-        with terms either w or SharedTerms prepared for (w, d)."""
-        try:
-            return inforcer_measure(terms, d, MeasureParams.of(self.family, self.engine_params(ps)))
-        except InforcerError as err:
-            failed = err
-        raise weights_error(w) or failed
+    def _finish(self, ps: dict, d: Distribution, terms) -> float:
+        """The row's measure over terms: the weights resolve_log2_weights
+        gave for d, or SharedTerms prepared for them."""
+        return inforcer_measure(terms, d, MeasureParams.of(self.family, self.engine_params(ps)))
 
     def sweep(self, params: dict, param: str, values, dist, weights=None, utilities=None) -> list:
         """check_params and evaluate at params with param set to each of
@@ -235,7 +229,7 @@ class MeasureSpec:
         alive at a time. A failed build is tried again at the next point.
         """
         reads = [a for a in self._reads if a in self.params]
-        key = shared = None   # weight-rule inputs, and (Distribution, weights, SharedTerms) for them
+        key = shared = None   # weight-rule inputs, and the SharedTerms for them
         out: list = []
         for value in values:
             try:
@@ -244,10 +238,8 @@ class MeasureSpec:
                 if shared is None or k != key:
                     key, shared = k, None   # drop the previous arrays before building
                     d, rule = self._rule(dist, ps, weights, utilities)
-                    w = resolve_log2_weights(d, rule)
-                    shared = (d, w, SharedTerms(w, d))
-                d, w, terms = shared
-                out.append(self._finish(ps, w, d, terms))
+                    shared = SharedTerms(resolve_log2_weights(d, rule), d)
+                out.append(self._finish(ps, shared.dist, shared))
             except InforcerError as err:
                 out.append(err.with_traceback(None))
         return out
@@ -837,11 +829,7 @@ def dual_verify(
     ps = spec.check_params(params)
     d, rule = spec._rule(dist, ps, weights, utilities)
     w = resolve_log2_weights(d, rule)
-    try:
-        info_name, info_params = spec.dual(ps)
-        info_spec = lookup(info_name)
-        info_pp = info_spec.engine_params(info_spec.check_params(info_params))
-        return dual_check(spec.engine_params(ps), info_pp, w, d, tolerance), info_name
-    except InforcerError as err:
-        failed = err
-    raise weights_error(w) or failed
+    info_name, info_params = spec.dual(ps)
+    info_spec = lookup(info_name)
+    info_pp = info_spec.engine_params(info_spec.check_params(info_params))
+    return dual_check(spec.engine_params(ps), info_pp, w, d, tolerance), info_name

@@ -5,12 +5,15 @@ The inputs hold 2 * _BLOCK + 17 entries, so the last block is ragged,
 and every zero and every offending entry sits in that last block.
 """
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from inforcer import (
+    ConstraintViolation,
     DegenerateWeights,
     DomainError,
     LengthMismatch,
@@ -180,6 +183,59 @@ def test_errors_come_in_the_order_building_the_weights_gives():
     z = make_distribution([0.5, 0.5, 0.0])
     assert _error(evaluate_named, "aczel_daroczy_b", z, alpha=1.7e308, beta=-1.7e308) == (
         DegenerateWeights, "escort weights: exponent left the representable range")
+    # tilted weights with no mass come before a tau that is not < 0, or
+    # one that overflows to -inf (tuteja's (gamma - 1)/(1 - beta))
+    p, u = make_distribution([0.5, 0.5, 0.0, 0.0]), WeightVector([0.0, 0.0, 0.5, 0.5])
+    no_mass = (DegenerateWeights, "tilted weights: sum of u_k p_k is not positive")
+    assert _error(entropy, p, ("tilted", u), tau=1.0) == no_mass
+    for fn in (evaluate_named, dual_verify):
+        assert _error(fn, "tuteja", p, weights=u, beta=1 + 2**-52, gamma=1e300) == no_mass
+    # escort weights that build (beta = 0 weighs the zero of p) leave the
+    # tau error first; the zero probability is the engine's to reject
+    assert _error(entropy, [0.5, 0.5, 0.0], ("escort", 0.0), tau=1.0) == (
+        ConstraintViolation, "tau must be finite and < 0, got 1.0")
+    # an exponent past SAFE_EXPONENT whose weights still build is evaluated
+    assert evaluate_named("kapur", [0.25, 0.75], alpha=2.0, beta=1e308) == 0.4150374992788438
+
+
+def _zero_block(rng, first: bool) -> np.ndarray:
+    """_BLOCK + 10 entries: a full block of zeros then 10 positive
+    entries, or a full positive block then a ragged block of 10 zeros."""
+    n = engine._BLOCK + 10
+    live = slice(engine._BLOCK, n) if first else slice(0, engine._BLOCK)
+    p = np.zeros(n)
+    p[live] = random_simplex(rng, live.stop - live.start)
+    return p
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["zero-block-first", "zero-block-last"])
+@pytest.mark.parametrize("name, params", [("renyi", {}), ("kapur", {"beta": 1.5})], ids=["renyi", "kapur"])
+def test_sweep_over_a_block_with_no_active_entry(name, params, first, rng):
+    # the sweep keeps the blocks of its first mean, a block with no
+    # active entry among them
+    p = _zero_block(rng, first)
+    grid = [2.0, 3.0]
+    points = [evaluate_named(name, p, alpha=a, **params) for a in grid]
+    assert evaluate_named(name, p, sweep=("alpha", grid), **params) == points
+
+
+def test_sweep_over_tilted_weights_with_no_mass():
+    # every block of a tilted rule on disjoint supports holds no weight;
+    # each point reports the weight error, as a call per point raises it
+    p, u = make_distribution([0.5, 0.5, 0.0, 0.0]), WeightVector([0.0, 0.0, 0.5, 0.5])
+    points = evaluate_named("pardo", p, weights=u, sweep=("gamma", [2.0, 3.0]))
+    assert [(type(e), str(e)) for e in points] == [
+        (DegenerateWeights, "tilted weights: sum of u_k p_k is not positive")] * 2
+
+
+def test_cli_sweep_over_a_block_with_no_active_entry(rng, tmp_path):
+    f = tmp_path / "p.csv"
+    f.write_text("".join(f"{x!r}\n" for x in _zero_block(rng, first=True).tolist()))
+    proc = subprocess.run([sys.executable, "-m", "inforcer.cli", "sweep", "--measure", "renyi",
+                           "--param", "alpha", "--grid", "2,3", "--p", str(f)],
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("alpha,value\n2.0,")
 
 
 def _peak(name, dist, **kwargs):

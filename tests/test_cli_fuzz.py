@@ -1,13 +1,15 @@
 """Property test over CLI argv: whatever the arguments, cli.run ends with
 exit code 0, 1, 2 or 3 and never with a traceback. Runs in-process, so
-every example also reuses the one cached argument parser."""
+every example also reuses the one cached argument parser. It runs once
+at the engine's own block size and once in blocks of two entries, so
+that short inputs reach the blocked engine too."""
 import contextlib
 import io
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from inforcer import cli, registry
+from inforcer import cli, engine, registry
 
 COMMANDS = ["compute", "list", "verify", "dual", "sweep", "info"]
 VALUE_FLAGS = ["--measure", "--param", "--grid", "--p", "--q", "--u", "--u2", "--v", "--v2", "--family",
@@ -42,7 +44,8 @@ options = st.one_of(
 
 PARAM_FLAGS = ["--alpha", "--beta", "--gamma", "--mu", "--tau", "--lambda", "--c", "--e"]
 simplices = st.one_of(
-    st.sampled_from(["0.5,0.5", "0.2,0.8", "0.25,0.25,0.5", "0,0.5,0.5", "0.1,0.2,0.3,0.4", "1,0"]),
+    st.sampled_from(["0.5,0.5", "0.2,0.8", "0.25,0.25,0.5", "0,0.5,0.5", "0.1,0.2,0.3,0.4", "1,0",
+                     "0,0,0.5,0.5", "0.5,0.5,0,0"]),
     vectors,
 )
 params = st.one_of(numbers, st.floats(-5.0, 5.0).map(repr))
@@ -78,9 +81,7 @@ def anything(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(well_formed(), anything()))
-def test_cli_exit_codes_and_no_traceback(argv):
+def _check_exit_code(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -89,3 +90,25 @@ def test_cli_exit_codes_and_no_traceback(argv):
             code = stop.code
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+fuzz = settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+
+
+@fuzz
+@given(st.one_of(well_formed(), anything()))
+def test_cli_exit_codes_and_no_traceback(argv):
+    _check_exit_code(argv)
+
+
+@fuzz
+@given(st.one_of(well_formed(), anything()))
+@example(["sweep", "--measure", "renyi", "--param", "alpha", "--grid", "2,3", "--p", "0,0,0.5,0.5"])
+def test_cli_exit_codes_and_no_traceback_in_blocks_of_two(argv):
+    # set by hand and restored in finally: hypothesis rejects the
+    # function-scoped monkeypatch fixture under @given
+    saved, engine._BLOCK = engine._BLOCK, 2
+    try:
+        _check_exit_code(argv)
+    finally:
+        engine._BLOCK = saved

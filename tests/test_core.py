@@ -39,9 +39,10 @@ class TestDistribution:
         with pytest.raises(NotNormalized):
             make_distribution([0.5, 0.6])
 
-    def test_rejects_zero_in_strict_mode(self):
-        with pytest.raises(NegativeMass):
-            make_distribution([0.2, 0.0, 0.8], mode="strictly_positive")
+    def test_records_whether_every_entry_is_positive(self):
+        # the engine reads _positive to skip masking
+        assert make_distribution([0.2, 0.8])._positive
+        assert not make_distribution([0.2, 0.0, 0.8])._positive
 
     def test_rejects_single_entry(self):
         with pytest.raises(TooShort):
@@ -83,7 +84,7 @@ class TestDistribution:
 
     def test_zero_allowed_by_default(self):
         d = make_distribution([0.0, 1.0])
-        assert d.mode == "nonneg"
+        assert d.values[0] == 0.0 and not d._positive
 
 
 class TestWeightAndUtilityVectors:
@@ -131,11 +132,11 @@ class TestDirectProduct:
         assert np.allclose(r.sum(axis=1), p.values, atol=1e-12)
         assert np.allclose(r.sum(axis=0), q.values, atol=1e-12)
 
-    def test_mode_propagation(self):
-        strict = make_distribution([0.5, 0.5], mode="strictly_positive")
+    def test_positivity_propagation(self):
+        strict = make_distribution([0.5, 0.5])
         loose = make_distribution([0.0, 1.0])
-        assert direct_product(strict, strict).mode == "strictly_positive"
-        assert direct_product(strict, loose).mode == "nonneg"
+        assert direct_product(strict, strict)._positive
+        assert not direct_product(strict, loose)._positive
 
     def test_weight_product_matches(self):
         w = weight_product(WeightVector([0.2, 0.8]), WeightVector([0.5, 0.5]))
@@ -313,34 +314,32 @@ _SHORT = ("TooShort", "{} needs at least two entries, got {}")
 _SUM = ("NotNormalized", "{} sums to {}, expected 1 within 1e-09")
 _SHAPE = ("TooShort", "{} must be a one-dimensional vector, got shape {}")
 
-# bad input -> expected (type, message) for Distribution, strict
-# Distribution, WeightVector and UtilityVector; None means accepted.
+# bad input -> expected (type, message) for Distribution, WeightVector
+# and UtilityVector; None means accepted.
 # Several inputs break two rules at once, so the table pins which check
 # runs first. The messages are the validated vector's own name, then
 # the format arguments.
 _CONTRACT = [
-    ([np.nan], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
-    ([-1.0], (_NONNEG,), (_POSITIVE,), (_NONNEG,), (_POSITIVE,)),
-    ([], (_SHORT, 0), (_SHORT, 0), (_SHORT, 0), None),
-    ([np.inf, -np.inf], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
-    ([np.inf, 0.5], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
-    ([-1.0, np.nan], (_FINITE,), (_FINITE,), (_FINITE,), (_FINITE,)),
-    ([0.0, 0.9], (_SUM, "0.9"), (_POSITIVE,), (_SUM, "0.9"), (_POSITIVE,)),
-    ([0.0, 1.0], None, (_POSITIVE,), None, (_POSITIVE,)),
-    ([-1.0, 2.0], (_NONNEG,), (_POSITIVE,), (_NONNEG,), (_POSITIVE,)),
-    ([-0.5, 0.2], (_NONNEG,), (_POSITIVE,), (_NONNEG,), (_POSITIVE,)),
-    ([0.0], (_SHORT, 1), (_POSITIVE,), (_SHORT, 1), (_POSITIVE,)),
-    ([1.0], (_SHORT, 1), (_SHORT, 1), (_SHORT, 1), None),
-    ([[0.5, 0.5]], (_SHAPE, (1, 2)), (_SHAPE, (1, 2)), (_SHAPE, (1, 2)), (_SHAPE, (1, 2))),
-    (1.0, (_SHAPE, ()), (_SHAPE, ()), (_SHAPE, ()), (_SHAPE, ())),
-    ([0.5, 0.5 + 2e-9], (_SUM, "1.0000000020000002"), (_SUM, "1.0000000020000002"),
-     (_SUM, "1.0000000020000002"), None),
-    ([0.25, 0.25, 0.25, 0.25 + 5e-10], None, None, None, None),
+    ([np.nan], (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([-1.0], (_NONNEG,), (_NONNEG,), (_POSITIVE,)),
+    ([], (_SHORT, 0), (_SHORT, 0), None),
+    ([np.inf, -np.inf], (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([np.inf, 0.5], (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([-1.0, np.nan], (_FINITE,), (_FINITE,), (_FINITE,)),
+    ([0.0, 0.9], (_SUM, "0.9"), (_SUM, "0.9"), (_POSITIVE,)),
+    ([0.0, 1.0], None, None, (_POSITIVE,)),
+    ([-1.0, 2.0], (_NONNEG,), (_NONNEG,), (_POSITIVE,)),
+    ([-0.5, 0.2], (_NONNEG,), (_NONNEG,), (_POSITIVE,)),
+    ([0.0], (_SHORT, 1), (_SHORT, 1), (_POSITIVE,)),
+    ([1.0], (_SHORT, 1), (_SHORT, 1), None),
+    ([[0.5, 0.5]], (_SHAPE, (1, 2)), (_SHAPE, (1, 2)), (_SHAPE, (1, 2))),
+    (1.0, (_SHAPE, ()), (_SHAPE, ()), (_SHAPE, ())),
+    ([0.5, 0.5 + 2e-9], (_SUM, "1.0000000020000002"), (_SUM, "1.0000000020000002"), None),
+    ([0.25, 0.25, 0.25, 0.25 + 5e-10], None, None, None),
 ]
 
 _CONSTRUCTORS = [
-    ("distribution", lambda v: Distribution(v)),
-    ("distribution", lambda v: Distribution(v, "strictly_positive")),
+    ("distribution", Distribution),
     ("weights", WeightVector),
     ("utilities", UtilityVector),
 ]
@@ -358,10 +357,6 @@ class TestValidationContract:
             with pytest.raises(Exception) as info:
                 make(values)
             assert (type(info.value).__name__, str(info.value)) == (kind, template.format(what, *args))
-
-    def test_mode_is_checked_before_the_values(self):
-        with pytest.raises(ValueError, match=r"^mode must be one of \('nonneg', 'strictly_positive'\), got 'x'$"):
-            Distribution([np.nan], "x")
 
     def test_overflowing_sum_is_not_normalized_without_a_warning(self):
         # tier-1 turns numpy's RuntimeWarning into an error
