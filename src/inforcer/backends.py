@@ -29,7 +29,7 @@ import numpy as np
 class KernelSet:
     weighted_log2_sumexp: Callable[[np.ndarray, np.ndarray, float, np.ndarray], tuple[float, float]]
     weighted_sum: Callable[[np.ndarray, np.ndarray, np.ndarray], float]
-    outer_flatten: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    outer_flatten: Callable[..., np.ndarray]
     shifted_exp2_weights: Callable[[np.ndarray, np.ndarray], tuple[float, float]]
 
 
@@ -50,8 +50,12 @@ def _np_weighted_sum(w: np.ndarray, x: np.ndarray, out: np.ndarray) -> float:
     return float(np.add.reduce(np.multiply(w, x, out=out)))
 
 
-def _np_outer_flatten(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.outer(a, b).ravel()
+def _np_outer_flatten(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # the row-major products a_i * b_j, written into out when it is given
+    if out is None:
+        return np.outer(a, b).ravel()
+    np.outer(a, b, out=out.reshape(a.size, b.size))
+    return out
 
 
 def _np_shifted_exp2_weights(t: np.ndarray, out: np.ndarray) -> tuple:

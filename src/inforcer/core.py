@@ -30,6 +30,7 @@ from .errors import (
     LengthMismatch,
     NegativeMass,
     NotNormalized,
+    Overflow,
     TooShort,
 )
 
@@ -50,6 +51,13 @@ def _freeze(obj, arr: np.ndarray, positive: bool) -> None:
     """Store a read-only validated array and its positivity on obj."""
     object.__setattr__(obj, "values", arr)
     object.__setattr__(obj, "_positive", positive)
+
+
+def check_sum(total: float, what: str) -> None:
+    """Raise NotNormalized unless total, the sum of a simplex vector, is
+    1 within SUM_TOL."""
+    if abs(total - 1.0) > SUM_TOL:
+        raise NotNormalized(f"{what} sums to {total!r}, expected 1 within {SUM_TOL}")
 
 
 def _validate(obj, values, what: str, strictly_positive: bool, simplex: bool) -> None:
@@ -86,8 +94,7 @@ def _validate(obj, values, what: str, strictly_positive: bool, simplex: bool) ->
                 total = float(np.add.reduce(arr))
         else:
             total = float(np.add.reduce(arr))
-        if abs(total - 1.0) > SUM_TOL:
-            raise NotNormalized(f"{what} sums to {total!r}, expected 1 within {SUM_TOL}")
+        check_sum(total, what)
     arr.setflags(write=False)
     _freeze(obj, arr, positive)
 
@@ -156,7 +163,9 @@ def as_utility_vector(utilities) -> UtilityVector:
 
 
 def direct_product(first: Distribution, second: Distribution) -> Distribution:
-    """Row-major product distribution (p_1 q_1, ..., p_1 q_m, p_2 q_1, ...)."""
+    """Row-major product distribution (p_1 q_1, ..., p_1 q_m, p_2 q_1, ...),
+    built and validated as a whole. engine.verify_composability builds
+    it only for products of one engine block and walks larger ones."""
     a = as_distribution(first)
     b = as_distribution(second)
     return Distribution(_Built(backends.active_kernels().outer_flatten(a.values, b.values)))
@@ -202,16 +211,20 @@ def _exponent_guard(b_abs: float):
     return _NO_GUARD if b_abs <= SAFE_EXPONENT else np.errstate(over="ignore")
 
 
-def _normalized_exp2(t: np.ndarray, what: str) -> WeightVector:
+def _normalized_exp2(t: np.ndarray, rule: Log2Weights) -> WeightVector:
     # -inf exponents are fine (they encode p_k^beta = 0); nan and +inf are
     # not. nan propagates through max, so the max alone tells all three
     # apart. With a finite max the max-shifted weights are finite: the
-    # largest term is 2^0 and the normalizer lies in [1, n].
+    # largest term is 2^0 and the normalizer lies in [1, n]. A max of -inf
+    # needs every positive p_k, whose log2 is finite, to have had its
+    # beta*log2(p_k) overflow.
     top = float(np.maximum.reduce(t))
     if math.isnan(top) or top == math.inf:
-        raise DegenerateWeights(f"{what}: exponent left the representable range")
+        raise DegenerateWeights(f"{rule.kind} weights: exponent left the representable range")
     if top == -math.inf:
-        raise DegenerateWeights(f"{what}: normalizer vanished")
+        b = rule.beta
+        what = f"beta = {b!r} is" if type(b) is float else f"betas up to {rule.beta_abs!r} are"
+        raise Overflow(f"{what} too large: beta*log2(p) leaves the double range")
     total = backends.active_kernels().shifted_exp2_weights(t, t)[1]
     t /= total
     return WeightVector(_Built(t))
@@ -266,7 +279,7 @@ class Log2Weights:
                 # 0 * log2(0) inside the masked branch would warn; the where()
                 # replaces those slots with the exact limit 0
                 t = np.where(b == 0.0, 0.0, b * np.log2(p))
-        return _normalized_exp2(t, f"{self.kind} weights")
+        return _normalized_exp2(t, self)
 
     def in_log2_domain(self) -> bool:
         """Whether every g of an active entry is finite, because |beta| <=

@@ -22,6 +22,12 @@ block by block and never built as a full weight vector, and come built
 only where their log2 weights cannot stand for them
 (Log2Weights.in_log2_domain). _BLOCK is a fixed constant, not a setting.
 
+verify_composability walks a product P*Q (and U*V) of more than one
+block the same way and never builds it: each block is written from the
+two factors into a buffer of one block (_Product), with the products
+fl(p_i * q_j) and the block partition of the built product, so the
+mean is the one the built product gets.
+
 A family name and its (tau, lambda, c, e) resolve once, through
 MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
 take (2^(c*x)-1)/e (e = 0 meaning the linear x itself), certainty takes
@@ -47,6 +53,7 @@ from .core import (
     as_distribution,
     as_weight_vector,
     check_length,
+    check_sum,
     direct_product,
     resolve_log2_weights,
     weight_product,
@@ -140,30 +147,37 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.take(a, idx, out=_head(buf, idx.size), mode="clip")
 
 
-def _linear_block(w, d: Distribution, lam0: bool, bufs: np.ndarray, lo: int):
+def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
     """[u, log2 p, log2 u, None] for the block of entries from lo, on the
     support of weights w that sum to 1 over all blocks together, written
     into bufs[0] and bufs[1]; None if no entry of the block is active.
     u is None at lambda != 0; log2 u is None at lambda = 0 and for self
-    weights, whose log2 u is log2 p.
+    weights, whose log2 u is log2 p. w and d are validated vectors, or
+    both _Product, whose block is written into its own buffer first.
 
     Zero weights are masked out, except at lambda = 0 over a strictly
     positive p, where 0 * log2 p is exactly 0.
     """
-    u, p = w.values, d.values
-    ub, pb = (u, p) if p.size <= _BLOCK else (u[lo:lo + _BLOCK], p[lo:lo + _BLOCK])
+    if type(d) is _Product:
+        same = w is d
+        pb = d.block(lo)
+        ub = pb if same else w.block(lo)
+    else:
+        u, p = w.values, d.values
+        same = u is p
+        ub, pb = (u, p) if p.size <= _BLOCK else (u[lo:lo + _BLOCK], p[lo:lo + _BLOCK])
     if not (d._positive and (lam0 or w._positive)):
         idx = np.flatnonzero(ub > 0.0)
         if not idx.size:
             return None
         ub = _take(ub, idx, bufs[0])
-        pb = ub if u is p else _take(pb, idx, bufs[1])
+        pb = ub if same else _take(pb, idx, bufs[1])
         if not d._positive and (pb <= 0.0).any():
             raise DomainError("zero probability carries nonzero weight")
     x = np.log2(pb) if bufs[1] is None else np.log2(pb, out=_head(bufs[1], pb.size))
     if lam0:
         return ub, x, None, None
-    if u is p:
+    if same:
         return None, x, None, None
     return None, x, np.log2(ub) if bufs[0] is None else np.log2(ub, out=_head(bufs[0], ub.size)), None
 
@@ -228,6 +242,48 @@ def _log2_sum(parts) -> float:
     return top + float(np.log2(math.fsum(s * 2.0 ** (m - top) for m, s in parts)))
 
 
+class _Product:
+    """The row-major direct product of two validated simplex vectors, in
+    core.direct_product's order, walked and never built: block(lo)
+    writes the entries lo .. lo + _BLOCK - 1, each the same fl(a_i *
+    b_j), into a buffer of one block that the next call overwrites.
+
+    Construction raises the NotNormalized that validating the built
+    product would raise, for the sum taken in one pass over the blocks.
+    The product is strictly positive when fl(min a * min b) > 0: rounding
+    is monotone, so that is its least entry, 0 where products underflow.
+    """
+
+    __slots__ = ("a", "b", "size", "_positive", "_buf")
+
+    def __init__(self, first, second, what: str) -> None:
+        a, b = first.values, second.values
+        self.a, self.b, self.size = a, b, a.size * b.size
+        self._positive = float(np.minimum.reduce(a)) * float(np.minimum.reduce(b)) > 0.0
+        self._buf = np.empty(_BLOCK)
+        check_sum(math.fsum(float(np.add.reduce(self.block(lo))) for lo in range(0, self.size, _BLOCK)), what)
+
+    def block(self, lo: int) -> np.ndarray:
+        a, b = self.a, self.b
+        m, n = b.size, min(_BLOCK, self.size - lo)
+        out = _head(self._buf, n)
+        i, j = divmod(lo, m)
+        if j + n <= m:  # inside row i
+            return np.multiply(b[j:j + n], a[i], out=out)
+        k = 0
+        if j:  # the rest of row i
+            k = m - j
+            np.multiply(b[j:], a[i], out=out[:k])
+            i += 1
+        rows = (n - k) // m
+        if rows:
+            backends.active_kernels().outer_flatten(a[i:i + rows], b, out[k:k + rows * m])
+            k, i = k + rows * m, i + rows
+        if k < n:  # the head of the last row
+            np.multiply(b[:n - k], a[i], out=out[k:])
+        return out
+
+
 class SharedTerms:
     """The per-block terms of X(U, P) that no (tau, lambda) changes, for
     every mean taken over the same (U, P): masking and log2 run once, at
@@ -263,7 +319,9 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
 
     weights may be a weight vector, the Log2Weights of a rule over dist
     in the log2 domain (core.resolve_log2_weights chooses that form), or
-    SharedTerms prepared for either.
+    SharedTerms prepared for either. verify_composability passes a
+    product of several blocks as a _Product dist, with weights the same
+    _Product or one of the same shape.
 
     One pass over memory: the mean walks the support in blocks of
     _BLOCK entries through three buffers allocated per call (numpy's own
@@ -278,17 +336,20 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
     shared = None
     if type(weights) is SharedTerms:
         shared, weights, dist = weights, weights.weights, weights.dist
-    d = as_distribution(dist)
-    n = d.values.size
+    rule = type(weights) is Log2Weights
+    if type(dist) is _Product:
+        d, n = dist, dist.size  # weights are a _Product of the same shape
+    else:
+        d = as_distribution(dist)
+        n = d.values.size
+        if not rule:
+            # a Distribution carries values and _positive as a WeightVector does
+            weights = weights if type(weights) is Distribution else as_weight_vector(weights)
+            check_length(weights.values, d.values, "weights")
+    if not rule and weights._positive and not d._positive:
+        raise DomainError("zero probability carries nonzero weight")
     # a vector of one block reuses nothing, so numpy allocates its arrays
     bufs = np.empty((3, _BLOCK)) if n > _BLOCK else (None, None, None)
-    rule = type(weights) is Log2Weights
-    if not rule:
-        # a Distribution carries values and _positive as a WeightVector does
-        weights = weights if type(weights) is Distribution else as_weight_vector(weights)
-        check_length(weights.values, d.values, "weights")
-        if weights._positive and not d._positive:
-            raise DomainError("zero probability carries nonzero weight")
     step = partial(_rule_block, weights, lam0, bufs) if rule else partial(_linear_block, weights, d, lam0, bufs)
     blocks = map(step, range(0, n, _BLOCK))
     if shared is not None:
@@ -394,6 +455,12 @@ def verify_composability(
     the measure family kind names at params and the law is its
     generator's: x + y + e*x*y for information and inaccuracy (plain
     addition at e = 0), the e-scaled product for certainty.
+
+    A product of one block is built (direct_product, weight_product). A
+    larger one is walked block by block and never built: it is checked
+    as building it would check it, P*Q's sum and then U*V's, with each
+    sum taken over the blocks (math.fsum of the block sums), and its mean
+    is the built product's, bit for bit.
     """
     mp = MeasureParams.of(kind, params)
     op = op_for_generator(mp.generator)
@@ -403,11 +470,14 @@ def verify_composability(
     q = as_distribution(second_dist)
     m1 = inforcer_measure(u, p, mp)
     m2 = inforcer_measure(v, q, mp)
-    pq = direct_product(p, q)
-    if u.values is p.values and v.values is q.values:
-        uv = as_weight_vector(pq)  # self weights: the product of the weights is P*Q itself
+    # self weights: the product of the weights is P*Q itself
+    same = u.values is p.values and v.values is q.values
+    if p.values.size * q.values.size <= _BLOCK:
+        pq = direct_product(p, q)
+        uv = as_weight_vector(pq) if same else weight_product(u, v)
     else:
-        uv = weight_product(u, v)
+        pq = _Product(p, q, "distribution")
+        uv = pq if same else _Product(u, v, "weights")
     lhs = inforcer_measure(uv, pq, mp)
     rhs = compose(op, m1, m2)
     return VerificationReport.from_comparison(lhs, rhs, tolerance)

@@ -27,8 +27,9 @@ class LengthMismatch(InforcerError, ValueError):
 
 
 class DegenerateWeights(InforcerError, ValueError):
-    """A derived weight vector collapsed: the normalizer vanished or an
-    exponentiated term left the representable range."""
+    """A derived weight vector cannot be formed: its exponent is not
+    finite, a term's exponent left the representable range upward, or
+    its terms carry no mass."""
 
 
 class ZeroScale(InforcerError, ValueError):
@@ -36,8 +37,8 @@ class ZeroScale(InforcerError, ValueError):
 
 
 class Overflow(InforcerError, ArithmeticError):
-    """A generator evaluation left double range; raised instead of
-    returning inf."""
+    """A generator evaluation, or an exponent such as tau*lambda*log2(p)
+    or beta*log2(p), left double range; raised instead of returning inf."""
 
 
 class OutOfRange(InforcerError, ValueError):

@@ -17,10 +17,12 @@ from inforcer import (
     DegenerateWeights,
     DomainError,
     LengthMismatch,
+    NotNormalized,
     Overflow,
     PolyParams,
     UtilityVector,
     WeightVector,
+    direct_product,
     dual_verify,
     entropy,
     evaluate_named,
@@ -28,8 +30,10 @@ from inforcer import (
     make_distribution,
     reference_evaluate,
     verify_composability,
+    weight_product,
 )
 from inforcer import engine
+from inforcer.engine import MeasureParams, inforcer_measure
 from _samplers import draw_params, random_simplex
 
 N = 2 * engine._BLOCK + 17
@@ -110,6 +114,54 @@ def test_composability_on_a_product_of_several_blocks(kind, params, external, rn
     assert _rel(report.lhs, single.lhs) <= 1e-13
 
 
+PRODUCT_PARAMS = [
+    ("information", PolyParams(-1.0, 0.0)),
+    ("information", PolyParams(-1.0, -0.7, 0.4, 0.3)),
+    ("inaccuracy", PolyParams(-1.3, 0.5)),
+    ("certainty", PolyParams(-1.0, -1.0, 1.0, 1.0)),
+]
+
+
+def _built_lhs(kind, params, u, p, v, q) -> float:
+    """M(U*V; P*Q) over the built product, as a product of one block
+    gets it."""
+    pq = direct_product(p, q)
+    uv = pq if u is p and v is q else weight_product(u, v)
+    return inforcer_measure(uv, pq, MeasureParams.of(kind, params))
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (2, engine._BLOCK + 17), (engine._BLOCK + 17, 2), (1000, 70)],
+                         ids=["square", "wide", "tall", "ragged"])
+@pytest.mark.parametrize("external", [False, True], ids=["self", "external"])
+@pytest.mark.parametrize("kind, params", PRODUCT_PARAMS)
+def test_walked_product_gives_the_built_products_value(kind, params, external, shape, rng):
+    # wide: every row is longer than a block; tall: every block ends on
+    # a row; ragged: blocks start and end inside rows of 70
+    p, q = (make_distribution(random_simplex(rng, n)) for n in shape)
+    u, v = (WeightVector(random_simplex(rng, n)) for n in shape) if external else (p, q)
+    report = verify_composability(kind, params, u, p, v, q)
+    assert report.lhs == _built_lhs(kind, params, u, p, v, q)
+    assert report.passed
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["self", "external"])
+def test_walked_product_where_entries_underflow(external, rng):
+    # 1e-200 * 1e-200 underflows to 0 in the last block, in P*Q and in
+    # U*V alike; no log2 of those zeros may run, since the test settings
+    # make numpy's RuntimeWarning an error
+    def tiny(n):
+        x = random_simplex(rng, n)
+        x[-3:] = 1e-200
+        return x / math.fsum(x)
+    p, q = make_distribution(tiny(300)), make_distribution(tiny(300))
+    u, v = (WeightVector(tiny(300)), WeightVector(tiny(300))) if external else (p, q)
+    assert not direct_product(p, q)._positive
+    for kind, params in PRODUCT_PARAMS:
+        report = verify_composability(kind, params, u, p, v, q)
+        assert report.lhs == _built_lhs(kind, params, u, p, v, q)
+        assert report.passed
+
+
 def _error(fn, *args, **kwargs):
     with pytest.raises(Exception) as info:
         fn(*args, **kwargs)
@@ -137,6 +189,25 @@ def _error_cases(rng):
     betas_zero[2 * engine._BLOCK + 5] = 0.0
     betas_negative[2 * engine._BLOCK + 5] = -0.5
     v = UtilityVector(rng.uniform(0.5, 2.0, N))
+    # P*P over 300 * 300 entries, three blocks: its last entry p_299^2
+    # underflows to 0, and U*V is 0 only in its first row
+    under = random_simplex(rng, 300)
+    under[-1] = 1e-200
+    under = make_distribution(under / math.fsum(under))
+    first_row_zero = WeightVector(np.r_[0.0, random_simplex(rng, 299)])
+    spread = WeightVector(random_simplex(rng, 300))
+    # dyadic factors: every product and partial sum of P*Q and U*V is
+    # exact but for one 2^-60 term, which rounding drops, so every order
+    # of summation gives the same digits
+    def dyadic(excess):
+        x = np.full(512, 2.0**-9)
+        x[::2] += 2.0**-12
+        x[1::2] -= 2.0**-12
+        x[7] += excess
+        return x
+    exact, over = make_distribution(dyadic(0.0)), make_distribution(dyadic(2.0**-30))
+    over_weights = WeightVector(over.values)
+    law = PolyParams(-1.0, 0.0)
     nonzero = "zero probability carries nonzero weight"
     return [
         ("external weight on a zero", lambda: evaluate_named("kerridge", z, weights=u),
@@ -154,7 +225,7 @@ def _error_cases(rng):
         ("utility beta < 0 on a zero", lambda: entropy(z, ("utility", -1.0, v), lam=-1.0),
          DegenerateWeights, "utility weights: exponent left the representable range"),
         ("escort exponent past the double range", lambda: evaluate_named("aczel_daroczy_b", z, alpha=2.0, beta=1.7e308),
-         DegenerateWeights, "escort weights: normalizer vanished"),
+         Overflow, "beta = 1.7e+308 is too large: beta*log2(p) leaves the double range"),
         ("tilted weights on disjoint supports",
          lambda: evaluate_named("pardo", make_distribution(head), weights=WeightVector(tail), gamma=2.0),
          DegenerateWeights, "tilted weights: sum of u_k p_k is not positive"),
@@ -165,6 +236,15 @@ def _error_cases(rng):
          Overflow, "tau*lambda = -1e+306 is too large: tau*lambda*log2(p) leaves the double range"),
         ("weights of the wrong length", lambda: evaluate_named("kerridge", z, weights=random_simplex(rng, N - 1)),
          LengthMismatch, f"weights length {N - 1} != distribution length {N}"),
+        ("weight on a product entry that underflows",
+         lambda: verify_composability("information", law, first_row_zero, under, spread, under),
+         DomainError, nonzero),
+        ("product out of tolerance, weights too",
+         lambda: verify_composability("information", law, over_weights, over, over_weights, over),
+         NotNormalized, "distribution sums to 1.0000000018626451, expected 1 within 1e-09"),
+        ("weight product out of tolerance",
+         lambda: verify_composability("information", law, over_weights, exact, over_weights, exact),
+         NotNormalized, "weights sums to 1.0000000018626451, expected 1 within 1e-09"),
         ("utilities of the wrong length",
          lambda: evaluate_named("khan_autar", z, utilities=np.ones(N + 1), alpha=2.0, beta=1.0),
          LengthMismatch, f"utilities length {N + 1} != distribution length {N}"),
@@ -238,10 +318,10 @@ def test_cli_sweep_over_a_block_with_no_active_entry(rng, tmp_path):
     assert proc.stdout.startswith("alpha,value\n2.0,")
 
 
-def _peak(name, dist, **kwargs):
+def _peak(fn, *args, **kwargs):
     tracemalloc.start()
     try:
-        evaluate_named(name, dist, **kwargs)
+        fn(*args, **kwargs)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -258,7 +338,24 @@ def test_memory_stays_flat_as_the_input_grows(name):
         kwargs = {"alpha": 2.0, "beta": 1.5} if name != "pardo" else {"gamma": 2.0, "weights": WeightVector(p.values)}
         if name == "khan_autar":
             kwargs["utilities"] = UtilityVector(rng.uniform(0.5, 2.0, n))
-        peaks.append(_peak(name, p, **kwargs))
+        peaks.append(_peak(evaluate_named, name, p, **kwargs))
     small, large = peaks
     assert large <= 1.1 * small
     assert small < 4 * 8 * engine._BLOCK + 2**16
+
+
+@pytest.mark.parametrize("external", [False, True], ids=["self", "external"])
+@pytest.mark.parametrize("shapes", [((2**8, 2**9), (2**9, 2**10)), ((2, 2**16), (2, 2**18))], ids=["square", "2xn"])
+def test_verify_memory_stays_flat_as_the_product_grows(shapes, external):
+    # a product of several blocks is walked through buffers of one block,
+    # so the peak is the same at 2^17 and 2^19 entries (as square as
+    # powers of two allow, and two rows)
+    rng = np.random.default_rng(12)
+    peaks = []
+    for shape in shapes:
+        p, q = (make_distribution(random_simplex(rng, n)) for n in shape)
+        u, v = (WeightVector(random_simplex(rng, n)) for n in shape) if external else (p, q)
+        peaks.append(_peak(verify_composability, "information", PolyParams(-1.0, -0.7, 0.4, 0.3), u, p, v, q))
+    small, large = peaks
+    assert large <= 1.1 * small
+    assert large < 8 * 8 * engine._BLOCK

@@ -153,8 +153,11 @@ class TestCompute:
         ("--measure khan_autar --alpha 2 --beta 1e308 --v 1,1,1,1 --p 0.25,0.25,0.25,0.25", "utility"),
     ])
     def test_exponent_overflow_is_only_the_error(self, capsys, argv, what):
+        # every beta*log2(p) of the what weights leaves the double range
         code, out, err = invoke(capsys, ["compute", *argv.split()])
-        assert (code, out, err) == (2, "", f"error[DegenerateWeights]: {what} weights: normalizer vanished\n")
+        assert (code, out, err) == (
+            2, "", "error[Overflow]: beta = 1e+308 is too large: beta*log2(p) leaves the double range\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         "--measure van_der_lubbe_b --tau -1e308 --lambda 1 --p 0.25,0.75",
@@ -399,6 +402,27 @@ class TestVerify:
              "--q", "0.5,0.5", "--tolerance", "-1"],
         )
         assert code == 1
+
+    @staticmethod
+    def _column(path, weights):
+        total = sum(weights)
+        path.write_text("".join(f"{w / total!r}\n" for w in weights))
+        return str(path)
+
+    def test_product_of_several_blocks_byte_exact(self, capsys, tmp_path):
+        # two 2^9-line files: a 2^18-entry product, eight engine blocks
+        p = self._column(tmp_path / "p.csv", [i + 1 for i in range(512)])
+        q = self._column(tmp_path / "q.csv", [i % 7 + 1 for i in range(512)])
+        u = self._column(tmp_path / "u.csv", [1] * 512)
+        u2 = self._column(tmp_path / "u2.csv", [512 - i for i in range(512)])
+        got = invoke(capsys, ["verify", "--measure", "tsallis", "--gamma", "1.7", "--p", p, "--q", q,
+                              "--format", "json"])
+        assert got == (0, '{"check": "composability", "measure": "tsallis", "lhs": 1.4282526592226543, '
+                          '"rhs": 1.428252659222654, "abs_err": 2.220446049250313e-16, '
+                          '"rel_err": 1.5546591388520998e-16, "tolerance": 1e-09, "passed": true}\n', "")
+        got = invoke(capsys, ["verify", "--measure", "kerridge", "--p", p, "--q", q, "--u", u, "--u2", u2])
+        assert got == (0, "check: composability\nmeasure: kerridge\nlhs: 18.6818531484\nrhs: 18.6818531484\n"
+                          "abs_err: 0.0\nrel_err: 0.0\ntolerance: 1e-09\nstatus: PASS\n", "")
 
     def test_csv_report(self, capsys):
         code, out, err = invoke(capsys, ["verify", "--measure", "renyi", "--alpha", "2", "--p", "0.2,0.8",

@@ -9,6 +9,7 @@ from inforcer import (
     LengthMismatch,
     NegativeMass,
     NotNormalized,
+    Overflow,
     TooShort,
     UtilityVector,
     WeightVector,
@@ -234,8 +235,8 @@ class TestExponentOverflow:
 
     @pytest.mark.parametrize("route", BUILDS)
     def test_every_term_vanishes(self, route):
-        what = "utility" if route == "utility" else "escort"
-        with pytest.raises(DegenerateWeights, match=rf"^{what} weights: normalizer vanished$"):
+        what = r"betas up to 1e\+308 are" if route == "betas" else r"beta = 1e\+308 is"
+        with pytest.raises(Overflow, match=rf"^{what} too large: beta\*log2\(p\) leaves the double range$"):
             self.BUILDS[route](make_distribution([0.25] * 4), 1e308)
 
     @pytest.mark.parametrize("route", BUILDS)
