@@ -31,9 +31,14 @@ from .errors import InforcerError, NotNormalized, ParseError, UsageError
 _PARAM_FLAGS = ("alpha", "beta", "gamma", "mu", "tau", "lam", "c", "e", "betas")
 
 
+def _shown(x: float) -> float:
+    """x with the sign of a zero cleared (tau * 0 is -0.0 for tau < 0)."""
+    return float(x) + 0.0
+
+
 def format_number(x: float) -> str:
     """12 significant digits; integral values keep a trailing .0."""
-    s = f"{float(x):.12g}"
+    s = f"{_shown(x):.12g}"
     if all(ch.isdigit() or ch in "+-" for ch in s):
         s += ".0"
     return s
@@ -111,7 +116,8 @@ def read_vector(source: str, what: str) -> np.ndarray:
                 data = json.loads(path.read_text())
             except json.JSONDecodeError as err:
                 raise ParseError(f"{what}: {path} is not valid JSON: {err}") from None
-            if not isinstance(data, list) or not all(isinstance(x, (int, float)) for x in data):
+            # type, not isinstance: JSON true and false are bools, and bool is an int
+            if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
                 raise ParseError(f"{what}: {path} must hold a JSON array of numbers")
             return np.array(data, dtype=float)
         return _parse_csv_file(path, what)
@@ -246,7 +252,7 @@ def _engine_dict(ep: PolyParams) -> dict:
 
 
 def _emit_report(args, report, fields: dict) -> int:
-    numbers = {k: getattr(report, k) for k in ("lhs", "rhs", "abs_err", "rel_err", "tolerance")}
+    numbers = {k: _shown(getattr(report, k)) for k in ("lhs", "rhs", "abs_err", "rel_err", "tolerance")}
     if args.format == "json":
         print(json.dumps({**fields, **numbers, "passed": report.passed}))
     else:
@@ -308,7 +314,7 @@ def _cmd_compute(args) -> int:
     if args.format == "json":
         print(json.dumps({
             "measure": name,
-            "value": value,
+            "value": _shown(value),
             "params": shown_params,
             "engine": _engine_dict(ep),
             "n": len(p),

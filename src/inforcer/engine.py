@@ -11,22 +11,20 @@ weight annihilates its term no matter what p_k is. The lambda != 0 sum
 runs in the log2 domain with a max shift, so exponents tau*lambda*log2(p)
 of hundreds are exact to working precision instead of overflowing.
 
-The mean is one pass over memory. quasi_mean_exponent walks the support
-in blocks of _BLOCK entries, and one kernel step per block (backends)
-reduces each to a partial. The partials combine exactly, with math.fsum
-and, for the log-sum-exps, a shift by the largest block maximum, so a
-vector of one block gets its kernel's own result. The engine takes a
-rule's weights in the form core.resolve_log2_weights chose for them:
-escort, utility and tilted rules come as core.Log2Weights, normalized
-block by block and never built as a full weight vector, and come built
-only where their log2 weights cannot stand for them
-(Log2Weights.in_log2_domain). _BLOCK is a fixed constant, not a setting.
-
-verify_composability walks a product P*Q (and U*V) of more than one
-block the same way and never builds it: each block is written from the
-two factors into a buffer of one block (_Product), with the products
-fl(p_i * q_j) and the block partition of the built product, so the
-mean is the one the built product gets.
+The mean is one pass over memory: _walk, the one place that produces
+its blocks, goes over the support in blocks of _BLOCK entries for any
+number of (tau, lambda) points, and one kernel step per point
+(backends) reduces each block to that point's partial while it is in
+cache. The partials combine exactly, with math.fsum and, for the
+log-sum-exps, a shift by the largest block maximum (Milakov &
+Gimelshein, arXiv:1805.02867), so a vector of one block gets its
+kernel's own result. Escort, utility and tilted rules come as
+core.Log2Weights, normalized block by block and never built, where
+core.resolve_log2_weights finds that their log2 weights can stand for
+them. _BLOCK is a constant, not a setting. verify_composability walks
+a product P*Q (and U*V) of several blocks the same way (_Product): each
+block is written once from the two factors, as fl(p_i * q_j) in the
+built product's block partition, and summed as it is written.
 
 A family name and its (tau, lambda, c, e) resolve once, through
 MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
@@ -40,7 +38,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -58,7 +55,7 @@ from .core import (
     resolve_log2_weights,
     weight_product,
 )
-from .errors import ConstraintViolation, DegenerateWeights, DomainError, Overflow
+from .errors import ConstraintViolation, DegenerateWeights, DomainError, InforcerError, Overflow
 
 
 _LINEAR = GeneratorH.linear(1.0)
@@ -127,6 +124,8 @@ class VerificationReport:
 # Entries per block: three float64 buffers of this length (768 KiB) fit
 # in a core's L2 cache.
 _BLOCK = 2**15
+# |lambda| up to which the mean is the lambda = 0 weighted sum
+_LAM0 = 1e-8
 
 
 def _span(a: np.ndarray, lo: int) -> np.ndarray:
@@ -172,7 +171,8 @@ def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
             return None
         ub = _take(ub, idx, bufs[0])
         pb = ub if same else _take(pb, idx, bufs[1])
-        if not d._positive and (pb <= 0.0).any():
+        # self weights: the mask above left no zero of p
+        if not (same or d._positive) and (pb <= 0.0).any():
             raise DomainError("zero probability carries nonzero weight")
     x = np.log2(pb) if bufs[1] is None else np.log2(pb, out=_head(bufs[1], pb.size))
     if lam0:
@@ -182,15 +182,15 @@ def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
     return None, x, np.log2(ub) if bufs[0] is None else np.log2(ub, out=_head(bufs[0], ub.size)), None
 
 
-def _rule_block(w: Log2Weights, lam0: bool, bufs: np.ndarray, lo: int):
+def _rule_block(w: Log2Weights, d: Distribution, lam0: bool, bufs: np.ndarray, lo: int):
     """[u, log2 p, log2 u, (m, s)] as _linear_block gives them, for the
-    rule's weights normalized within the block: u is 2^(g - m) / s for
-    the log2 weights g of core.Log2Weights (u * p / s for tilted
-    weights, with m = 0) and s the block's sum before dividing, so the
-    block holds 2^m * s of the rule's total weight. Written into bufs[0]
-    and bufs[1], with bufs[2] as scratch; None if the block holds no
-    weight. On a block of the whole vector each step is the one that
-    building the weights takes.
+    weights of rule w over d normalized within the block: u is
+    2^(g - m) / s for the log2 weights g of core.Log2Weights (u * p / s
+    for tilted weights, with m = 0) and s the block's sum before
+    dividing, so the block holds 2^m * s of the rule's total weight.
+    Written into bufs[0] and bufs[1], with bufs[2] as scratch; None if
+    the block holds no weight. On a block of the whole vector each step
+    is the one that building the weights takes.
 
     Zero weights are masked out before any exp2, which leaves its fast
     loop on -inf: the zeros of p under escort and utility weights (beta
@@ -198,7 +198,7 @@ def _rule_block(w: Log2Weights, lam0: bool, bufs: np.ndarray, lo: int):
     under tilted weights.
     """
     ubuf, xbuf, tbuf = bufs
-    d, kind, beta = w.dist, w.kind, w.beta
+    kind, beta = w.kind, w.beta
     pb = _span(d.values, lo)
     if kind == "tilted":
         ub = np.multiply(_span(w.extra, lo), pb, out=_head(ubuf, pb.size))
@@ -246,96 +246,57 @@ class _Product:
     """The row-major direct product of two validated simplex vectors, in
     core.direct_product's order, walked and never built: block(lo)
     writes the entries lo .. lo + _BLOCK - 1, each the same fl(a_i *
-    b_j), into a buffer of one block that the next call overwrites.
+    b_j), into a buffer of one block that the next call overwrites, and
+    sums the block the first time it writes it.
 
-    Construction raises the NotNormalized that validating the built
-    product would raise, for the sum taken in one pass over the blocks.
     The product is strictly positive when fl(min a * min b) > 0: rounding
     is monotone, so that is its least entry, 0 where products underflow.
     """
 
-    __slots__ = ("a", "b", "size", "_positive", "_buf")
+    __slots__ = ("a", "b", "size", "_positive", "_buf", "_sums")
 
-    def __init__(self, first, second, what: str) -> None:
+    def __init__(self, first, second) -> None:
         a, b = first.values, second.values
         self.a, self.b, self.size = a, b, a.size * b.size
         self._positive = float(np.minimum.reduce(a)) * float(np.minimum.reduce(b)) > 0.0
         self._buf = np.empty(_BLOCK)
-        check_sum(math.fsum(float(np.add.reduce(self.block(lo))) for lo in range(0, self.size, _BLOCK)), what)
+        self._sums: list = []
 
     def block(self, lo: int) -> np.ndarray:
         a, b = self.a, self.b
         m, n = b.size, min(_BLOCK, self.size - lo)
         out = _head(self._buf, n)
         i, j = divmod(lo, m)
-        if j + n <= m:  # inside row i
-            return np.multiply(b[j:j + n], a[i], out=out)
         k = 0
-        if j:  # the rest of row i
-            k = m - j
-            np.multiply(b[j:], a[i], out=out[:k])
+        if j:  # the rest of row i, or as much of it as the block holds
+            k = min(m - j, n)
+            np.multiply(b[j:j + k], a[i], out=out[:k])
             i += 1
         rows = (n - k) // m
         if rows:
             backends.active_kernels().outer_flatten(a[i:i + rows], b, out[k:k + rows * m])
             k, i = k + rows * m, i + rows
-        if k < n:  # the head of the last row
+        if k < n:  # the head of the next row
             np.multiply(b[:n - k], a[i], out=out[k:])
+        if lo == len(self._sums) * _BLOCK:
+            self._sums.append(float(np.add.reduce(out)))
         return out
 
-
-class SharedTerms:
-    """The per-block terms of X(U, P) that no (tau, lambda) changes, for
-    every mean taken over the same (U, P): masking and log2 run once, at
-    the first mean that needs them, and later means read copies of the
-    same blocks, so each mean equals one taken on its own. The checks a
-    caller runs before asking for a mean still come first. A failed
-    build is tried again at the next mean.
-    """
-
-    __slots__ = ("weights", "dist", "_blocks")
-
-    def __init__(self, weights, dist) -> None:
-        self.weights = weights
-        self.dist = dist
-        self._blocks: dict = {}
-
-    def blocks(self, key, fresh) -> list:
-        """The blocks the iterable fresh yields, copied at the first call
-        for key."""
-        kept = self._blocks.get(key)
-        if kept is None:
-            # a block with no active entry stays None
-            kept = [b and tuple(a.copy() if type(a) is np.ndarray else a for a in b) for b in fresh]
-            self._blocks[key] = kept
-        return kept
+    def check_sum(self, what: str) -> None:
+        """The sum check of the built product; writes the blocks no walk reached."""
+        for lo in range(len(self._sums) * _BLOCK, self.size, _BLOCK):
+            self.block(lo)
+        check_sum(math.fsum(self._sums), what)
 
 
-def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
-    """The inner mean X(U, P) before the generator is applied:
-
-        X = tau * sum_k u_k log2 p_k                 |lambda| <= 1e-8
-        X = log2( sum_k u_k p_k^(tau*lambda) ) / lambda      otherwise
-
-    weights may be a weight vector, the Log2Weights of a rule over dist
-    in the log2 domain (core.resolve_log2_weights chooses that form), or
-    SharedTerms prepared for either. verify_composability passes a
-    product of several blocks as a _Product dist, with weights the same
-    _Product or one of the same shape.
-
-    One pass over memory: the mean walks the support in blocks of
-    _BLOCK entries through three buffers allocated per call (numpy's own
-    outputs for a vector of one block, which reuses nothing), with one
-    kernel step per block (see backends), and combines the block
-    partials exactly, with math.fsum and, for the log-sum-exps, a shift
-    by the largest block maximum (Milakov & Gimelshein, "Online
-    normalizer calculation for softmax", arXiv:1805.02867). A vector of
-    one block gets its kernel's own result.
-    """
-    lam0 = abs(lam) <= 1e-8
-    shared = None
-    if type(weights) is SharedTerms:
-        shared, weights, dist = weights, weights.weights, weights.dist
+def _walk(weights, dist, lam0: bool, points) -> list:
+    """X(U, P) at each (tau, lambda) of points, all of them at lambda = 0
+    when lam0 and all away from it otherwise: per point, the float or
+    the InforcerError its mean raised, each what a mean taken on its own
+    gives. A check every point shares raises. Each block is produced
+    once, through three buffers allocated per call (numpy's own outputs
+    for a vector of one block), and every point's kernel step runs on
+    it before the next block is produced."""
     rule = type(weights) is Log2Weights
     if type(dist) is _Product:
         d, n = dist, dist.size  # weights are a _Product of the same shape
@@ -350,51 +311,75 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
         raise DomainError("zero probability carries nonzero weight")
     # a vector of one block reuses nothing, so numpy allocates its arrays
     bufs = np.empty((3, _BLOCK)) if n > _BLOCK else (None, None, None)
-    step = partial(_rule_block, weights, lam0, bufs) if rule else partial(_linear_block, weights, d, lam0, bufs)
-    blocks = map(step, range(0, n, _BLOCK))
-    if shared is not None:
-        blocks = shared.blocks(lam0, blocks)
-    elif n <= _BLOCK:
-        blocks = (step(0),)  # the same step, without driving an iterator
-
+    step = _rule_block if rule else _linear_block
     kern = backends.active_kernels()
-    r = tau * lam
-    # r * log2 p can overflow only past SAFE_EXPONENT, so the common path
-    # pays this one comparison
-    huge = abs(r) > SAFE_EXPONENT
     scratch = bufs[2]
-    parts, norms = [], []
-    for block in blocks:
+    out = [None] * len(points)
+    # (index, tau*lambda, block partials) of each point whose mean still
+    # runs, and the (m, s) of each block that holds weight
+    live = [(i, tau * lam, []) for i, (tau, lam) in enumerate(points)]
+    norms = []
+    for lo in range(0, n, _BLOCK):
+        if not live:
+            break
+        try:
+            block = step(weights, d, lam0, bufs, lo)
+        except InforcerError as err:
+            for i, _, _ in live:
+                out[i] = err
+            return out
         if block is None:
             continue
         u, x, log2u, norm = block
-        t = scratch if scratch is None else _head(scratch, x.size)
-        if lam0:
-            parts.append(kern.weighted_sum(u, x, t))
-        else:
-            # the most negative log2 p gives the largest |r * log2 p|
-            if huge and math.isinf(r * float(np.minimum.reduce(x))):
-                raise Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
-            parts.append(kern.weighted_log2_sumexp(x if log2u is None else log2u, x, r, t))
         norms.append(norm)
-    if len(parts) == 1:
-        # the exact combination of one partial is the partial itself
-        part = parts[0]
-        return tau * part if lam0 else (part[0] + float(np.log2(part[1]))) / lam
-    if not parts:
-        raise DegenerateWeights("all weights are zero")
-    if rule:
+        t = scratch if scratch is None else _head(scratch, x.size)
+        for mean in tuple(live):
+            i, r, parts = mean
+            if lam0:
+                parts.append(kern.weighted_sum(u, x, t))
+            # r * log2 p can overflow only past SAFE_EXPONENT, and the
+            # most negative log2 p gives the largest |r * log2 p|
+            elif abs(r) > SAFE_EXPONENT and math.isinf(r * float(np.minimum.reduce(x))):
+                out[i] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
+                live.remove(mean)
+            else:
+                parts.append(kern.weighted_log2_sumexp(x if log2u is None else log2u, x, r, t))
+    if rule and len(norms) > 1:
         # each block's weights sum to 1 on their own: weigh its partial
         # by its share of the rule's total weight
         top = max(m for m, _ in norms)
         mass = [s * 2.0 ** (m - top) for m, s in norms]
         total = math.fsum(mass)
         shares = [a / total for a in mass]
-        if lam0:
-            parts = list(map(operator.mul, parts, shares))
+    for i, _, parts in live:
+        tau, lam = points[i]
+        if not parts:
+            out[i] = DegenerateWeights("all weights are zero")
+        elif len(parts) == 1:  # the exact combination of one partial is the partial itself
+            out[i] = tau * parts[0] if lam0 else (parts[0][0] + float(np.log2(parts[0][1]))) / lam
+        elif lam0:
+            out[i] = tau * math.fsum(map(operator.mul, parts, shares) if rule else parts)
         else:
-            parts = [(m, s * c) for (m, s), c in zip(parts, shares) if c > 0.0]
-    return tau * math.fsum(parts) if lam0 else _log2_sum(parts) / lam
+            out[i] = _log2_sum([(m, s * c) for (m, s), c in zip(parts, shares) if c > 0.0] if rule else parts) / lam
+    return out
+
+
+def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
+    """The inner mean X(U, P) before the generator is applied:
+
+        X = tau * sum_k u_k log2 p_k                 |lambda| <= 1e-8
+        X = log2( sum_k u_k p_k^(tau*lambda) ) / lambda      otherwise
+
+    weights may be a weight vector, or the Log2Weights of a rule over
+    dist in the log2 domain (core.resolve_log2_weights chooses that
+    form); verify_composability passes a _Product of several blocks as
+    dist, with weights the same _Product or one of its shape. The mean
+    is _walk at one point.
+    """
+    x = _walk(weights, dist, abs(lam) <= _LAM0, ((tau, lam),))[0]
+    if isinstance(x, InforcerError):
+        raise x
+    return x
 
 
 def inforcer_content(p: float, params: MeasureParams) -> float:
@@ -409,6 +394,27 @@ def inforcer_measure(weights, dist, params: MeasureParams) -> float:
     """h applied to the quasi-linear mean of elementary exponents."""
     x = quasi_mean_exponent(weights, dist, params.tau, params.lam)
     return apply_h(params.generator, x)
+
+
+def inforcer_measures(weights, dist, params: list) -> list:
+    """inforcer_measure at each MeasureParams of params: per entry, the
+    float or the InforcerError that point raised. The points at lambda =
+    0 share one _walk and the others another."""
+    out = [None] * len(params)
+    for lam0 in (True, False):
+        mine = [i for i, mp in enumerate(params) if (abs(mp.lam) <= _LAM0) is lam0]
+        if not mine:
+            continue
+        try:
+            got = _walk(weights, dist, lam0, [(params[i].tau, params[i].lam) for i in mine])
+        except InforcerError as err:  # a check every point shares
+            got = [err] * len(mine)
+        for i, x in zip(mine, got):
+            try:
+                out[i] = x if isinstance(x, InforcerError) else apply_h(params[i].generator, x)
+            except InforcerError as err:
+                out[i] = err
+    return out
 
 
 def inaccuracy(weights, dist, tau: float, lam: float, c: float = 1.0, e: float = 0.0) -> float:
@@ -457,10 +463,10 @@ def verify_composability(
     addition at e = 0), the e-scaled product for certainty.
 
     A product of one block is built (direct_product, weight_product). A
-    larger one is walked block by block and never built: it is checked
-    as building it would check it, P*Q's sum and then U*V's, with each
-    sum taken over the blocks (math.fsum of the block sums), and its mean
-    is the built product's, bit for bit.
+    larger one is walked and never built: its mean is the built
+    product's, bit for bit, and it is checked as building it would check
+    it, P*Q's sum, then U*V's (math.fsum of the block sums the walk
+    took), then any error the mean raised.
     """
     mp = MeasureParams.of(kind, params)
     op = op_for_generator(mp.generator)
@@ -475,9 +481,18 @@ def verify_composability(
     if p.values.size * q.values.size <= _BLOCK:
         pq = direct_product(p, q)
         uv = as_weight_vector(pq) if same else weight_product(u, v)
+        lhs = inforcer_measure(uv, pq, mp)
     else:
-        pq = _Product(p, q, "distribution")
-        uv = pq if same else _Product(u, v, "weights")
-    lhs = inforcer_measure(uv, pq, mp)
+        pq = _Product(p, q)
+        uv = pq if same else _Product(u, v)
+        try:
+            lhs = inforcer_measure(uv, pq, mp)
+        except InforcerError as err:
+            lhs = err  # held until the sums are checked
+        pq.check_sum("distribution")
+        if uv is not pq:
+            uv.check_sum("weights")
+        if isinstance(lhs, InforcerError):
+            raise lhs
     rhs = compose(op, m1, m2)
     return VerificationReport.from_comparison(lhs, rhs, tolerance)

@@ -11,8 +11,8 @@ core.resolve_weight_rule accept, with names where the values go:
 "self", ("escort", "beta"), ("escort", "betas"), ("utility", "beta",
 "V"), ("external", "U") or ("tilted", "U"). "U" and "V" stand for the
 given weight and utility vectors, other names for checked parameters.
-The inputs a row takes, what a sweep rebuilds on and the listed weights
-all follow from the rule.
+The inputs a row takes, which points of a sweep share one walk and the
+listed weights all follow from the rule.
 
 Constraint rules are declarative triples (lhs, op, rhs) where each side
 is a parameter name or a number; each row compiles its triples once,
@@ -31,7 +31,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    Distribution,
     WeightVector,
     all_finite,
     as_distribution,
@@ -45,9 +44,9 @@ from .duality import dual_check
 from .engine import (
     MeasureParams,
     PolyParams,
-    SharedTerms,
     VerificationReport,
     inforcer_measure,
+    inforcer_measures,
 )
 from .errors import ConstraintViolation, InforcerError, Overflow, UnknownMeasure
 
@@ -211,38 +210,45 @@ class MeasureSpec:
         check_params already returned, over the weights in the form
         resolve_log2_weights gives them."""
         d, rule = self._rule(dist, ps, weights, utilities)
-        return self._finish(ps, d, resolve_log2_weights(d, rule))
-
-    def _finish(self, ps: dict, d: Distribution, terms) -> float:
-        """The row's measure over terms: the weights resolve_log2_weights
-        gave for d, or SharedTerms prepared for them."""
-        return inforcer_measure(terms, d, MeasureParams.of(self.family, self.engine_params(ps)))
+        w = resolve_log2_weights(d, rule)
+        return inforcer_measure(w, d, MeasureParams.of(self.family, self.engine_params(ps)))
 
     def sweep(self, params: dict, param: str, values, dist, weights=None, utilities=None) -> list:
         """check_params and evaluate at params with param set to each of
         values in turn: per value, the float or the InforcerError raised.
 
-        Every point runs the checks and the arithmetic of one evaluation,
-        in the same order. The weights, masking and log2 are kept from the
-        previous point while the parameters the weight rule reads are
-        unchanged, and rebuilt when they change, so one point's arrays are
-        alive at a time. A failed build is tried again at the next point.
+        Every point runs the checks of one evaluation in the same order.
+        Each run of points whose weight-rule inputs agree then shares one
+        walk (engine.inforcer_measures), so a sweep holds one block's
+        buffers at any n and each value is what a call per point gives.
         """
         reads = [a for a in self._reads if a in self.params]
-        key = shared = None   # weight-rule inputs, and the SharedTerms for them
         out: list = []
+        run: list = []         # (index into out, MeasureParams) of the points that wait for w's walk
+        key = w = d = None     # weight-rule inputs, and the weights and distribution for them
         for value in values:
             try:
                 ps = self.check_params({**params, param: value})
                 k = tuple(ps[r].tobytes() if r == "betas" else ps[r] for r in reads)
-                if shared is None or k != key:
-                    key, shared = k, None   # drop the previous arrays before building
+                if w is None or k != key:
+                    _measure_run(w, d, run, out)
+                    run, key, w = [], k, None   # drop the previous weights before resolving
                     d, rule = self._rule(dist, ps, weights, utilities)
-                    shared = SharedTerms(resolve_log2_weights(d, rule), d)
-                out.append(self._finish(ps, shared.dist, shared))
+                    w = resolve_log2_weights(d, rule)
+                run.append((len(out), MeasureParams.of(self.family, self.engine_params(ps))))
+                out.append(None)
             except InforcerError as err:
                 out.append(err.with_traceback(None))
+        _measure_run(w, d, run, out)
         return out
+
+
+def _measure_run(w, d, run: list, out: list) -> None:
+    """out[i] = the measure over (w, d) at mp, for each (i, mp) of run."""
+    if run:
+        got = inforcer_measures(w, d, [mp for _, mp in run])
+        for (i, _), x in zip(run, got):
+            out[i] = x.with_traceback(None) if isinstance(x, InforcerError) else x
 
 
 _SPECS: dict[str, MeasureSpec] = {}

@@ -62,7 +62,7 @@ def test_criterion_1_registry_equivalence():
     rng = np.random.default_rng(101)
     rows = list_measures()
     assert len(rows) >= 25
-    # warm the jit kernels outside the timed region
+    # warm the kernels outside the timed region
     evaluate_named("renyi", make_distribution([0.2, 0.8]), alpha=2.0)
     evaluate_named("shannon", make_distribution([0.2, 0.8]))
     worst = 0.0

@@ -162,6 +162,45 @@ def test_walked_product_where_entries_underflow(external, rng):
         assert report.passed
 
 
+@pytest.mark.parametrize("external", [False, True], ids=["self", "external"])
+def test_verify_writes_each_block_of_the_product_once(external, rng, monkeypatch):
+    # 300 * 300 = 90 000 entries, three blocks: the walk that takes the
+    # mean also sums each block, so no block of P*Q (or U*V) is written
+    # a second time
+    written = []
+    real = engine._Product.block
+
+    def counted(self, lo):
+        written.append((id(self), lo))
+        return real(self, lo)
+
+    monkeypatch.setattr(engine._Product, "block", counted)
+    p, q = (make_distribution(random_simplex(rng, 300)) for _ in range(2))
+    u, v = (WeightVector(random_simplex(rng, 300)) for _ in range(2)) if external else (p, q)
+    assert verify_composability("information", PolyParams(-1.0, -0.7, 0.4, 0.3), u, p, v, q).passed
+    assert len(written) == len(set(written)) == (6 if external else 3)
+
+
+def test_product_sum_comes_before_an_error_the_mean_holds(rng):
+    # P*Q's first entry, 1e-200 * 1e-200, underflows to 0 where U*V
+    # weighs it, so the mean raises DomainError in its first block (U has
+    # a zero, so no check before the walk sees it). With each factor
+    # 9e-10 over 1, P*Q sums to 1 + 1.8e-9, and that error comes first.
+    def side(excess):
+        x = random_simplex(rng, 300)
+        x[0] = 1e-200
+        x /= math.fsum(x)
+        x[1] += excess
+        return make_distribution(x)
+    u = WeightVector(np.r_[random_simplex(rng, 299), 0.0])
+    v = WeightVector(random_simplex(rng, 300))
+    law = PolyParams(-1.0, 0.0)
+    assert _error(verify_composability, "information", law, u, side(0.0), v, side(0.0)) == (
+        DomainError, "zero probability carries nonzero weight")
+    kind, message = _error(verify_composability, "information", law, u, side(9e-10), v, side(9e-10))
+    assert kind is NotNormalized and message.startswith("distribution sums to 1.0000000018")
+
+
 def _error(fn, *args, **kwargs):
     with pytest.raises(Exception) as info:
         fn(*args, **kwargs)

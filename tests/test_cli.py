@@ -49,6 +49,29 @@ class TestFormatNumber:
         assert format_number(1.5e20) == "1.5e+20"
 
 
+class TestZeroHasNoSign:
+    # tau * 0 with tau < 0 is -0.0 in the library; the CLI prints 0.0
+    @pytest.mark.parametrize("argv, expected", [
+        (["compute", "--measure", "shannon", "--p", "1,0"], "0.0\n"),
+        (["compute", "--measure", "renyi", "--alpha", "2", "--p", "1,0"], "0.0\n"),
+        (["compute", "--measure", "shannon", "--p", "1,0", "--format", "csv"], "measure,value\nshannon,0.0\n"),
+        (["sweep", "--measure", "renyi", "--param", "alpha", "--grid", "2,3", "--p", "1,0"],
+         "alpha,value\n2.0,0.0\n3.0,0.0\n"),
+    ], ids=["shannon", "renyi", "csv", "sweep"])
+    def test_plain_and_csv(self, capsys, argv, expected):
+        assert invoke(capsys, argv) == (0, expected, "")
+
+    def test_json(self, capsys):
+        code, out, _ = invoke(capsys, ["compute", "--measure", "shannon", "--p", "1,0", "--format", "json"])
+        assert code == 0 and '"value": 0.0,' in out
+        code, out, _ = invoke(capsys, ["verify", "--measure", "renyi", "--alpha", "2",
+                                       "--p", "1,0", "--q", "1,0", "--format", "json"])
+        assert code == 0 and '"lhs": 0.0, "rhs": 0.0,' in out
+
+    def test_library_values_keep_their_sign(self):
+        assert math.copysign(1.0, evaluate_named("shannon", [1.0, 0.0])) == -1.0
+
+
 class TestDocumentedInvocations:
     @pytest.mark.parametrize("argv,expected", DOCUMENTED, ids=["plain", "json", "verify"])
     def test_byte_exact(self, capsys, argv, expected):
@@ -216,6 +239,13 @@ class TestFileInputs:
         f.write_text('{"p": [0.5, 0.5]}')
         code, _, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", str(f)])
         assert code == 2 and "ParseError" in err
+
+    def test_json_booleans_are_not_numbers(self, capsys, tmp_path):
+        f = tmp_path / "dist.json"
+        f.write_text("[true, false]")
+        code, out, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", str(f)])
+        assert (code, out) == (2, "")
+        assert err == f"error[ParseError]: p: {f} must hold a JSON array of numbers\n"
 
     def test_bad_number_in_csv(self, capsys, tmp_path):
         f = tmp_path / "dist.csv"

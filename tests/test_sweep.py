@@ -141,6 +141,63 @@ def test_beta_sweep_memory_stays_flat_as_the_grid_grows():
     assert long < 10 * 8 * n
 
 
+def _peak(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, params", [("renyi", {}), ("kapur", {"beta": 1.5})], ids=["renyi", "kapur"])
+def test_alpha_sweep_memory_stays_flat_as_the_input_grows(name, params):
+    # the points of a sweep share one walk through buffers of one block,
+    # and no copy of the input's blocks is kept between them
+    rng = np.random.default_rng(13)
+    peaks = []
+    for n in (2**17, 2**19):
+        p = make_distribution(random_simplex(rng, n))
+        peaks.append(_peak(registry.evaluate_named, name, p, sweep=("alpha", [0.5, 0.8, 2.0, 3.0]), **params))
+    small, large = peaks
+    assert large <= 1.1 * small
+
+
+def test_points_on_both_sides_of_lambda_zero_walk_each_block_once_per_kind(monkeypatch):
+    # alpha = 1 + 1e-12 is a lambda = 0 point, the others are not: each of
+    # the two blocks is masked and logged once for each kind
+    calls = []
+    real = engine._linear_block
+
+    def counted(w, d, lam0, bufs, lo):
+        calls.append((lam0, lo))
+        return real(w, d, lam0, bufs, lo)
+
+    p = random_simplex(np.random.default_rng(15), engine._BLOCK + 9)
+    p[[3, -2]] = 0.0
+    p = make_distribution(p / p.sum())
+    grid = [0.5, 1.0 + 1e-12, 2.0, 3.0]
+    want = _per_point("renyi", p, None, None, {}, "alpha", grid)
+    monkeypatch.setattr(engine, "_linear_block", counted)
+    _assert_same(registry.evaluate_named("renyi", p, sweep=("alpha", grid)), want)
+    assert sorted(calls) == [(False, 0), (False, engine._BLOCK), (True, 0), (True, engine._BLOCK)]
+
+
+def test_each_point_stops_where_its_own_call_stops():
+    # alpha = 1e306 overflows tau*lambda*log2(p) in the first block; the
+    # zero of p that u weighs sits in the last block. Each point reports
+    # the error its own call raises first.
+    n = 2 * engine._BLOCK + 17
+    rng = np.random.default_rng(14)
+    p, u = rng.random(n), rng.random(n)
+    p[3], p[-2], u[-5] = 1e-300, 0.0, 0.0
+    p, u = make_distribution(p / p.sum()), u / u.sum()
+    grid = [2.0, 1e306]
+    got = registry.evaluate_named("nath_inaccuracy_b", p, weights=u, sweep=("alpha", grid))
+    _assert_same(got, _per_point("nath_inaccuracy_b", p, u, None, {}, "alpha", grid))
+    assert [type(x) for x in got] == [DomainError, Overflow]
+
+
 def test_unknown_measure_raises_at_once():
     with pytest.raises(InforcerError, match="unknown measure"):
         registry.evaluate_named("renyl", [0.5, 0.5], sweep=("alpha", [2.0]))
