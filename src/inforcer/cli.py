@@ -79,22 +79,16 @@ def _parse_csv_file(path: Path, what: str) -> np.ndarray:
         lines = lines[1:]  # header row
         if not lines:
             raise ParseError(f"{what}: {path} holds only a header") from None
-    if "," not in text:  # one number per line: convert them all at once
-        try:
-            return np.array(list(map(float, lines)), dtype=float)
-        except ValueError:
-            pass  # the loop below names the bad entry
-    values: list[float] = []
-    for ln in lines:
-        for piece in ln.split(","):
-            piece = piece.strip()
-            if not piece:
-                continue
+    pieces = [s for ln in lines for s in map(str.strip, ln.split(",")) if s] if "," in text else lines
+    try:
+        return np.array(pieces, dtype=float)  # converts each str as float() does
+    except ValueError:
+        for piece in pieces:  # name the bad entry
             try:
-                values.append(float(piece))
+                float(piece)
             except ValueError:
                 raise ParseError(f"{what}: bad number {piece!r} in {path}") from None
-    return np.array(values, dtype=float)
+        raise
 
 
 def read_vector(source: str, what: str) -> np.ndarray:
@@ -109,17 +103,22 @@ def read_vector(source: str, what: str) -> np.ndarray:
         inline_error = err
     path = Path(source)
     try:
+        if source and path.is_dir():  # Path("") is ".", but "" is an empty vector
+            raise ParseError(f"{what}: cannot read {source[:80]!r}: is a directory")
         if not path.is_file():
             raise inline_error
         if path.suffix.lower() == ".json":
-            try:
+            try:  # a ValueError also for integers of more digits than int() takes
                 data = json.loads(path.read_text())
-            except json.JSONDecodeError as err:
+            except (ValueError, RecursionError) as err:
                 raise ParseError(f"{what}: {path} is not valid JSON: {err}") from None
             # type, not isinstance: JSON true and false are bools, and bool is an int
             if not isinstance(data, list) or not all(type(x) in (int, float) for x in data):
                 raise ParseError(f"{what}: {path} must hold a JSON array of numbers")
-            return np.array(data, dtype=float)
+            try:
+                return np.array(data, dtype=float)
+            except OverflowError:
+                raise ParseError(f"{what}: {path} holds an integer beyond the double range") from None
         return _parse_csv_file(path, what)
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err

@@ -12,11 +12,13 @@ runs in the log2 domain with a max shift, so exponents tau*lambda*log2(p)
 of hundreds are exact to working precision instead of overflowing.
 
 The mean is one pass over memory: _walk, the one place that produces
-its blocks, goes over the support in blocks of _BLOCK entries for any
-number of (tau, lambda) points, and one kernel step per point
-(backends) reduces each block to that point's partial while it is in
-cache. The partials combine exactly, with math.fsum and, for the
-log-sum-exps, a shift by the largest block maximum (Milakov &
+its blocks, goes over the support in blocks of _BLOCK entries and takes
+only inner means, sum_k u_k log2 p_k or log2 sum_k u_k p_k^r. These
+depend on a point only through r = tau*lambda, and not at all at lambda
+= 0, so a walk takes each distinct r once with one kernel step per block
+(backends), while the block is in cache; tau (or 1/lambda) and h act
+after it, per point. The partials combine exactly, with math.fsum and,
+for the log-sum-exps, a shift by the largest block maximum (Milakov &
 Gimelshein, arXiv:1805.02867), so a vector of one block gets its
 kernel's own result. Escort, utility and tilted rules come as
 core.Log2Weights, normalized block by block and never built, where
@@ -289,14 +291,15 @@ class _Product:
         check_sum(math.fsum(self._sums), what)
 
 
-def _walk(weights, dist, lam0: bool, points) -> list:
-    """X(U, P) at each (tau, lambda) of points, all of them at lambda = 0
-    when lam0 and all away from it otherwise: per point, the float or
-    the InforcerError its mean raised, each what a mean taken on its own
-    gives. A check every point shares raises. Each block is produced
-    once, through three buffers allocated per call (numpy's own outputs
-    for a vector of one block), and every point's kernel step runs on
-    it before the next block is produced."""
+def _walk(weights, dist, rs) -> dict:
+    """The inner mean over (weights, dist) at each exponent r = tau*lambda
+    of rs: log2( sum_k u_k p_k^r ), or sum_k u_k log2 p_k for the key None
+    (lambda = 0), which rs then holds alone. Per r, the float or the
+    InforcerError its mean raised, as a walk at that r alone gives it; a
+    check every r shares raises. Each block is produced once, through
+    three buffers allocated per call (numpy's own outputs for a vector of
+    one block), and every r's kernel step runs on it in turn."""
+    lam0 = rs[0] is None
     rule = type(weights) is Log2Weights
     if type(dist) is _Product:
         d, n = dist, dist.size  # weights are a _Product of the same shape
@@ -314,10 +317,10 @@ def _walk(weights, dist, lam0: bool, points) -> list:
     step = _rule_block if rule else _linear_block
     kern = backends.active_kernels()
     scratch = bufs[2]
-    out = [None] * len(points)
-    # (index, tau*lambda, block partials) of each point whose mean still
-    # runs, and the (m, s) of each block that holds weight
-    live = [(i, tau * lam, []) for i, (tau, lam) in enumerate(points)]
+    out = {}
+    # (r, block partials) of each mean that still runs, and the (m, s)
+    # of each block that holds weight
+    live = [(r, []) for r in rs]
     norms = []
     for lo in range(0, n, _BLOCK):
         if not live:
@@ -325,8 +328,8 @@ def _walk(weights, dist, lam0: bool, points) -> list:
         try:
             block = step(weights, d, lam0, bufs, lo)
         except InforcerError as err:
-            for i, _, _ in live:
-                out[i] = err
+            for r, _ in live:
+                out[r] = err
             return out
         if block is None:
             continue
@@ -334,13 +337,13 @@ def _walk(weights, dist, lam0: bool, points) -> list:
         norms.append(norm)
         t = scratch if scratch is None else _head(scratch, x.size)
         for mean in tuple(live):
-            i, r, parts = mean
+            r, parts = mean
             if lam0:
                 parts.append(kern.weighted_sum(u, x, t))
             # r * log2 p can overflow only past SAFE_EXPONENT, and the
             # most negative log2 p gives the largest |r * log2 p|
             elif abs(r) > SAFE_EXPONENT and math.isinf(r * float(np.minimum.reduce(x))):
-                out[i] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
+                out[r] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
                 live.remove(mean)
             else:
                 parts.append(kern.weighted_log2_sumexp(x if log2u is None else log2u, x, r, t))
@@ -351,16 +354,15 @@ def _walk(weights, dist, lam0: bool, points) -> list:
         mass = [s * 2.0 ** (m - top) for m, s in norms]
         total = math.fsum(mass)
         shares = [a / total for a in mass]
-    for i, _, parts in live:
-        tau, lam = points[i]
+    for r, parts in live:
         if not parts:
-            out[i] = DegenerateWeights("all weights are zero")
+            out[r] = DegenerateWeights("all weights are zero")
         elif len(parts) == 1:  # the exact combination of one partial is the partial itself
-            out[i] = tau * parts[0] if lam0 else (parts[0][0] + float(np.log2(parts[0][1]))) / lam
+            out[r] = parts[0] if lam0 else parts[0][0] + float(np.log2(parts[0][1]))
         elif lam0:
-            out[i] = tau * math.fsum(map(operator.mul, parts, shares) if rule else parts)
+            out[r] = math.fsum(map(operator.mul, parts, shares) if rule else parts)
         else:
-            out[i] = _log2_sum([(m, s * c) for (m, s), c in zip(parts, shares) if c > 0.0] if rule else parts) / lam
+            out[r] = _log2_sum([(m, s * c) for (m, s), c in zip(parts, shares) if c > 0.0] if rule else parts)
     return out
 
 
@@ -374,12 +376,13 @@ def quasi_mean_exponent(weights, dist, tau: float, lam: float) -> float:
     dist in the log2 domain (core.resolve_log2_weights chooses that
     form); verify_composability passes a _Product of several blocks as
     dist, with weights the same _Product or one of its shape. The mean
-    is _walk at one point.
+    is _walk at one exponent.
     """
-    x = _walk(weights, dist, abs(lam) <= _LAM0, ((tau, lam),))[0]
-    if isinstance(x, InforcerError):
-        raise x
-    return x
+    r = None if abs(lam) <= _LAM0 else tau * lam
+    m = _walk(weights, dist, (r,))[r]
+    if isinstance(m, InforcerError):
+        raise m
+    return tau * m if r is None else m / lam
 
 
 def inforcer_content(p: float, params: MeasureParams) -> float:
@@ -396,25 +399,29 @@ def inforcer_measure(weights, dist, params: MeasureParams) -> float:
     return apply_h(params.generator, x)
 
 
-def inforcer_measures(weights, dist, params: list) -> list:
-    """inforcer_measure at each MeasureParams of params: per entry, the
-    float or the InforcerError that point raised. The points at lambda =
-    0 share one _walk and the others another."""
-    out = [None] * len(params)
+def inforcer_measures(weights, dist, run: list, out: list) -> None:
+    """out[i] = inforcer_measure(weights, dist, mp), or the InforcerError
+    it raises with no traceback, for each (i, mp) of run. Each inner
+    mean is taken once: the points at lambda = 0 share one sum_k u_k
+    log2 p_k, and the others one walk that takes each distinct tau*lambda
+    once; tau (or 1/lambda) and h then act per point."""
+    keys = [None if abs(mp.lam) <= _LAM0 else mp.tau * mp.lam for _, mp in run]
+    means: dict = {}
     for lam0 in (True, False):
-        mine = [i for i, mp in enumerate(params) if (abs(mp.lam) <= _LAM0) is lam0]
-        if not mine:
-            continue
-        try:
-            got = _walk(weights, dist, lam0, [(params[i].tau, params[i].lam) for i in mine])
-        except InforcerError as err:  # a check every point shares
-            got = [err] * len(mine)
-        for i, x in zip(mine, got):
+        rs = tuple(dict.fromkeys(r for r in keys if (r is None) is lam0))
+        if rs:
             try:
-                out[i] = x if isinstance(x, InforcerError) else apply_h(params[i].generator, x)
+                means.update(_walk(weights, dist, rs))
+            except InforcerError as err:  # a check every point shares
+                means.update(dict.fromkeys(rs, err))
+    for (i, mp), r in zip(run, keys):
+        x = means[r]
+        if not isinstance(x, InforcerError):
+            try:
+                x = apply_h(mp.generator, mp.tau * x if r is None else x / mp.lam)
             except InforcerError as err:
-                out[i] = err
-    return out
+                x = err
+        out[i] = x.with_traceback(None) if isinstance(x, InforcerError) else x
 
 
 def inaccuracy(weights, dist, tau: float, lam: float, c: float = 1.0, e: float = 0.0) -> float:

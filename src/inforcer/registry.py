@@ -219,8 +219,9 @@ class MeasureSpec:
 
         Every point runs the checks of one evaluation in the same order.
         Each run of points whose weight-rule inputs agree then shares one
-        walk (engine.inforcer_measures), so a sweep holds one block's
-        buffers at any n and each value is what a call per point gives.
+        walk per kind (engine.inforcer_measures), which takes each distinct
+        inner mean once, so a sweep holds one block's buffers at any n and
+        each value is what a call per point gives.
         """
         reads = [a for a in self._reads if a in self.params]
         out: list = []
@@ -231,7 +232,7 @@ class MeasureSpec:
                 ps = self.check_params({**params, param: value})
                 k = tuple(ps[r].tobytes() if r == "betas" else ps[r] for r in reads)
                 if w is None or k != key:
-                    _measure_run(w, d, run, out)
+                    inforcer_measures(w, d, run, out)
                     run, key, w = [], k, None   # drop the previous weights before resolving
                     d, rule = self._rule(dist, ps, weights, utilities)
                     w = resolve_log2_weights(d, rule)
@@ -239,16 +240,8 @@ class MeasureSpec:
                 out.append(None)
             except InforcerError as err:
                 out.append(err.with_traceback(None))
-        _measure_run(w, d, run, out)
+        inforcer_measures(w, d, run, out)
         return out
-
-
-def _measure_run(w, d, run: list, out: list) -> None:
-    """out[i] = the measure over (w, d) at mp, for each (i, mp) of run."""
-    if run:
-        got = inforcer_measures(w, d, [mp for _, mp in run])
-        for (i, _), x in zip(run, got):
-            out[i] = x.with_traceback(None) if isinstance(x, InforcerError) else x
 
 
 _SPECS: dict[str, MeasureSpec] = {}
@@ -787,8 +780,9 @@ def evaluate_named(
 
     With sweep=(param, values), evaluate it at each value of one
     parameter, the others held at params: returns one entry per value,
-    the float or the InforcerError that point raised (see
-    MeasureSpec.sweep). Each value equals what a call per point returns.
+    the float or the InforcerError that point raised, equal to what a
+    call per point returns. Points that share an inner mean share its
+    kernel steps (see MeasureSpec.sweep).
     """
     spec = lookup(name)
     if sweep is not None:

@@ -253,6 +253,33 @@ class TestFileInputs:
         code, _, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", str(f)])
         assert code == 2 and "ParseError" in err
 
+    @pytest.mark.parametrize("flag", ["--p", "--q", "--u", "--u2", "--v", "--v2"])
+    def test_json_integer_beyond_the_double_range(self, capsys, tmp_path, flag):
+        f = tmp_path / "big.json"
+        f.write_text("[1" + "0" * 400 + ", 0]")
+        vectors = {"--p": "0.5,0.5", "--q": "0.5,0.5", flag: str(f)}
+        argv = ["verify", "--measure", "shannon"] + [x for pair in vectors.items() for x in pair]
+        code, out, err = invoke(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error[ParseError]: {flag[2:]}: {f} holds an integer beyond the double range\n"
+
+    @pytest.mark.parametrize("text", ["[" + "1" * 5000 + "]", "[" * 100_000], ids=["digits", "depth"])
+    def test_json_the_parser_refuses_is_a_parse_error(self, capsys, tmp_path, text):
+        f = tmp_path / "dist.json"
+        f.write_text(text)
+        code, out, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", str(f)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error[ParseError]: p: {f} is not valid JSON: ") and err.count("\n") == 1
+
+    def test_directory_is_named_as_one(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", str(tmp_path)])
+        assert (code, out) == (2, "")
+        assert err == f"error[ParseError]: p: cannot read {str(tmp_path)[:80]!r}: is a directory\n"
+
+    def test_empty_vector_is_not_the_working_directory(self, capsys):
+        code, out, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", ""])
+        assert (code, out, err) == (2, "", "error[ParseError]: p: empty vector\n")
+
 
 # Per row, in catalog order: the weights column of `list` and whether the
 # row needs external weights (--u) and utilities (--v).

@@ -2,9 +2,11 @@
 exit code 0, 1, 2 or 3 and never with a traceback. Runs in-process, so
 every example also reuses the one cached argument parser. It runs once
 at the engine's own block size and once in blocks of two entries, so
-that short inputs reach the blocked engine too."""
+that short inputs reach the blocked engine too, and once with vectors
+read from drawn CSV and JSON files."""
 import contextlib
 import io
+import json
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -112,3 +114,51 @@ def test_cli_exit_codes_and_no_traceback_in_blocks_of_two(argv):
         _check_exit_code(argv)
     finally:
         engine._BLOCK = saved
+
+
+# CSV files: an optional header, one number or a comma row per line,
+# blank lines between them
+columns = simplices.map(lambda s: s.replace(",", "\n"))
+csv_lines = st.one_of(numbers, vectors, columns, st.sampled_from(["", " ", ","]))
+headers = st.sampled_from(["", "p\n", "p,q\n", "value\n\n"])
+csv_files = st.one_of(
+    st.tuples(headers, st.lists(csv_lines, max_size=6).map("\n".join)),
+    st.tuples(headers, columns),
+).map(lambda t: t[0] + t[1] + "\n")
+# JSON files: numbers, integers beyond the double range, booleans,
+# nested lists and objects, in an array or alone
+json_items = st.one_of(
+    st.sampled_from([0, 1, 0.5, 0.25, 0.75, 0.2, 0.8]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.booleans(),
+    st.lists(st.floats(0.0, 1.0), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.floats(0.0, 1.0), max_size=2),
+)
+json_files = st.one_of(st.lists(json_items, max_size=5).map(json.dumps), json_items.map(json.dumps),
+                       simplices.map(lambda s: f"[{s}]"))
+vector_files = st.one_of(st.tuples(st.just(".csv"), csv_files), st.tuples(st.just(".json"), json_files))
+FILE_FLAGS = ["--p", "--q", "--u", "--u2", "--v", "--v2"]
+
+
+@st.composite
+def with_vector_files(draw):
+    """A well-formed command and, for some of its vector flags, the text
+    of a file that the test writes and passes in place of the vector."""
+    argv = draw(well_formed())
+    flags = [a for a in argv if a in FILE_FLAGS]
+    return argv, {flag: draw(vector_files) for flag in flags if draw(st.booleans())}
+
+
+@settings(fuzz, suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(with_vector_files())
+@example((["compute", "--measure", "shannon", "--p", "0.5,0.5"], {"--p": (".json", "[1" + "0" * 400 + ", 0]")}))
+def test_cli_exit_codes_and_no_traceback_with_vector_files(tmp_path, case):
+    # every example writes the same file names, so tmp_path is safe to share
+    argv, files = case
+    argv = list(argv)
+    for flag, (suffix, text) in files.items():
+        path = tmp_path / (flag[2:] + suffix)
+        path.write_text(text)
+        argv[argv.index(flag) + 1] = str(path)
+    _check_exit_code(argv)

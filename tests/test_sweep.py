@@ -1,13 +1,14 @@
 """The grid path: evaluate_named(..., sweep=(param, values)) against a
 loop of one evaluate_named call per point, and the CSV reader's bulk
-path against the per-entry loop it replaces for comma-free files."""
+conversion against the per-entry loop it replaces."""
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from _samplers import draw_params, random_simplex
-from inforcer import core, engine, registry
+from inforcer import backends, core, engine, registry
 from inforcer.cli import _parse_csv_file
 from inforcer.core import make_distribution
 from inforcer.errors import DomainError, InforcerError, Overflow, ParseError
@@ -198,6 +199,64 @@ def test_each_point_stops_where_its_own_call_stops():
     assert [type(x) for x in got] == [DomainError, Overflow]
 
 
+def _count_steps(monkeypatch) -> list:
+    """The names of the kernel steps the engine's means make from now on,
+    counted through a patched backends.active_kernels."""
+    steps = []
+    real = backends.active_kernels()
+
+    def counted(name):
+        kernel = getattr(real, name)
+
+        def step(*args):
+            steps.append(name)
+            return kernel(*args)
+        return step
+
+    kernels = dataclasses.replace(
+        real, weighted_sum=counted("weighted_sum"), weighted_log2_sumexp=counted("weighted_log2_sumexp"))
+    monkeypatch.setattr(backends, "active_kernels", lambda: kernels)
+    return steps
+
+
+@pytest.mark.parametrize("name, param, params, grid", [
+    ("sharma_mittal_b", "gamma", {"alpha": 2.0}, [0.5, 0.8, 1.5, 2.0, 3.0]),
+    ("van_der_lubbe_d", "c", {"tau": -1.0, "lam": 0.5, "e": 1.0}, [0.25, 0.5, 1.0, 2.0]),
+    ("van_der_lubbe_a", "tau", {}, [-2.0, -1.0, -0.5, -0.25]),
+], ids=["gamma", "c", "tau"])
+def test_points_that_share_their_inner_mean_make_one_kernel_step_per_block(monkeypatch, name, param, params, grid):
+    # gamma and c act only through h, and tau at lambda = 0 only after
+    # the mean: every point of each grid shares one inner mean
+    p = make_distribution(random_simplex(np.random.default_rng(16), 2 * engine._BLOCK + 9))
+    want = _per_point(name, p, None, None, params, param, grid)
+    steps = _count_steps(monkeypatch)
+    _assert_same(registry.evaluate_named(name, p, sweep=(param, grid), **params), want)
+    assert len(steps) == 3
+
+
+@pytest.mark.parametrize("name, param, params, grid, errors", [
+    # lambda = +-1e-9 are lambda = 0 points, 0.5 repeats its tau*lambda,
+    # and tau*lambda = -1e306 overflows against p = 1e-300
+    ("van_der_lubbe_b", "lam", {"tau": -1.0}, [-1e-9, 0.5, 1e-9, 0.5, 2.0, 1e306, -0.5], {Overflow}),
+    # one tau*lambda; c = 1000 overflows the generator
+    ("van_der_lubbe_d", "c", {"tau": -1.0, "lam": 0.5, "e": 1.0}, [1.0, 1000.0, 2.0, 1.0], {Overflow}),
+    ("van_der_lubbe_c", "c", {"tau": -1.0, "e": 1.0}, [1.0, 1000.0, 0.5, 1.0], {Overflow}),
+    # tau*lambda = gamma - 1 at every beta, from a different tau and lambda
+    ("tuteja", "beta", {"gamma": 2.0}, [1.5, 2.0, 3.0, 1.5, 1e300], set()),
+], ids=["lambda", "c_shared_r", "c_lambda_zero", "tuteja_beta"])
+def test_grids_that_share_inner_means_match_one_call_per_point(name, param, params, grid, errors):
+    rng = np.random.default_rng(17)
+    n = 2 * engine._BLOCK + 9
+    p, u = rng.random(n), None
+    p[3], p[[7, -2]] = 1e-300, 0.0
+    p = make_distribution(p / p.sum())
+    if name == "tuteja":
+        u = random_simplex(rng, n)
+    want = _per_point(name, p, u, None, params, param, grid)
+    assert {type(x) for x in want if isinstance(x, InforcerError)} == errors
+    _assert_same(registry.evaluate_named(name, p, weights=u, sweep=(param, grid), **params), want)
+
+
 def test_unknown_measure_raises_at_once():
     with pytest.raises(InforcerError, match="unknown measure"):
         registry.evaluate_named("renyl", [0.5, 0.5], sweep=("alpha", [2.0]))
@@ -238,7 +297,10 @@ CSV_TEXTS = {
     "comma_rows": "0.1,0.2\n0.3, 0.4,\n",
     "underscore": "1_0\n2\n",
     "repr_floats": "0.1\n0.30000000000000004\n1e-300\n-0.0\ninf\nnan\n",
+    "float_spellings": "1_000\n 1.5 \nnan\n-inf\nInfinity\n1e400\n4.9e-324\n\u0661\u0662\n",
+    "float_spellings_in_rows": "1_000, 1.5 ,nan\n-inf,Infinity\n1e400,4.9e-324,\u0661\u0662\n",
     "bad_entry": "p\n0.5\n0.x5\n0.5\n",
+    "bad_entry_after_comma_rows": "p,q\n0.5,0.5\n0x10\n",
     "bad_entry_in_comma_row": "0.5,0.x5\n",
     "only_header": "p\n",
     "empty": "\n \n",
