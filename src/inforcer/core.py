@@ -237,7 +237,7 @@ class Log2Weights:
 
         escort   g = beta * x           (beta a scalar or one per entry)
         utility  g = beta * x + log2 v
-        tilted   g = log2(u * p)
+        tilted   g = log2 u + x
 
     weights() builds the normalized WeightVector that escort_weights,
     utility_weights and tilted_weights return, with all their checks.
@@ -251,17 +251,17 @@ class Log2Weights:
         self.dist = dist
         self.beta = beta          # float, 1-d array, or None (tilted)
         self.beta_abs = beta_abs  # largest |beta|
-        self.extra = extra        # utilities v, or the external weights u of a tilted rule
+        self.extra = extra        # the UtilityVector v, or the WeightVector u of a tilted rule
 
     def weights(self) -> WeightVector:
         d, b = self.dist, self.beta
         p = d.values
         if self.kind == "tilted":
-            raw = self.extra * p
+            raw = self.extra.values * p
             raw /= float(np.add.reduce(raw))  # positive, as _tilted checked
             return WeightVector(_Built(raw))
         if self.kind == "utility":
-            t = np.log2(self.extra)
+            t = np.log2(self.extra.values)
             if b != 0.0:
                 with _log2_guard(d), _exponent_guard(self.beta_abs):
                     log2p = np.log2(p)
@@ -285,7 +285,7 @@ class Log2Weights:
         """Whether every g of an active entry is finite, because |beta| <=
         SAFE_EXPONENT, and every zero of p gets weight 0, because beta > 0
         there. Then building the weights raises nothing, and the engine
-        can normalize g block by block."""
+        can read g block by block, where no weight is normalized."""
         d, b = self.dist, self.beta
         if self.beta_abs > SAFE_EXPONENT:
             return False
@@ -313,8 +313,8 @@ def _escort(d: Distribution, beta) -> Log2Weights:
 
 
 def _utility(d: Distribution, beta, utilities) -> Log2Weights:
-    v = as_utility_vector(utilities).values
-    check_length(v, d.values, "utilities")
+    v = as_utility_vector(utilities)
+    check_length(v.values, d.values, "utilities")
     b = float(beta)
     if not math.isfinite(b):
         raise DegenerateWeights("utility exponent must be finite")
@@ -322,9 +322,12 @@ def _utility(d: Distribution, beta, utilities) -> Log2Weights:
 
 
 def _tilted(d: Distribution, weights) -> Log2Weights:
-    u = as_weight_vector(weights).values
-    check_length(u, d.values, "weights")
-    if np.dot(u, d.values) <= 0.0:
+    """External weights u tilted by d. A float sum_k u_k p_k of 0 is
+    DegenerateWeights, also when each u_k p_k underflows though some u_k
+    and p_k are positive: every built weight would be 0 there."""
+    u = as_weight_vector(weights)
+    check_length(u.values, d.values, "weights")
+    if np.dot(u.values, d.values) <= 0.0:
         raise DegenerateWeights("tilted weights: sum of u_k p_k is not positive")
     return Log2Weights("tilted", d, None, 0.0, u)
 

@@ -21,12 +21,14 @@ after it, per point. The partials combine exactly, with math.fsum and,
 for the log-sum-exps, a shift by the largest block maximum (Milakov &
 Gimelshein, arXiv:1805.02867), so a vector of one block gets its
 kernel's own result. Escort, utility and tilted rules come as
-core.Log2Weights, normalized block by block and never built, where
-core.resolve_log2_weights finds that their log2 weights can stand for
-them. _BLOCK is a constant, not a setting. verify_composability walks
-a product P*Q (and U*V) of several blocks the same way (_Product): each
-block is written once from the two factors, as fl(p_i * q_j) in the
-built product's block partition, and summed as it is written.
+core.Log2Weights where core.resolve_log2_weights finds that their log2
+weights g can stand for them. Their mean is a ratio of two sums over
+2^g, taken wholly in the log2 domain, so no weight is built, divided
+or lost to underflow. _BLOCK is a constant, not a setting.
+verify_composability walks a product P*Q (and U*V) of several blocks
+the same way (_Product): each block is written once from the two
+factors, as fl(p_i * q_j) in the built product's block partition, and
+summed as it is written.
 
 A family name and its (tau, lambda, c, e) resolve once, through
 MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
@@ -38,7 +40,6 @@ wrappers over inforcer_measure().
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,7 +150,7 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
-    """[u, log2 p, log2 u, None] for the block of entries from lo, on the
+    """[u, log2 p, log2 u] for the block of entries from lo, on the
     support of weights w that sum to 1 over all blocks together, written
     into bufs[0] and bufs[1]; None if no entry of the block is active.
     u is None at lambda != 0; log2 u is None at lambda = 0 and for self
@@ -176,72 +177,55 @@ def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
         # self weights: the mask above left no zero of p
         if not (same or d._positive) and (pb <= 0.0).any():
             raise DomainError("zero probability carries nonzero weight")
-    x = np.log2(pb) if bufs[1] is None else np.log2(pb, out=_head(bufs[1], pb.size))
-    if lam0:
-        return ub, x, None, None
-    if same:
-        return None, x, None, None
-    return None, x, np.log2(ub) if bufs[0] is None else np.log2(ub, out=_head(bufs[0], ub.size)), None
+    x = np.log2(pb, out=_head(bufs[1], pb.size))
+    if lam0 or same:
+        return ub if lam0 else None, x, None
+    return None, x, np.log2(ub, out=_head(bufs[0], ub.size))
 
 
 def _rule_block(w: Log2Weights, d: Distribution, lam0: bool, bufs: np.ndarray, lo: int):
-    """[u, log2 p, log2 u, (m, s)] as _linear_block gives them, for the
-    weights of rule w over d normalized within the block: u is
-    2^(g - m) / s for the log2 weights g of core.Log2Weights (u * p / s
-    for tilted weights, with m = 0) and s the block's sum before
-    dividing, so the block holds 2^m * s of the rule's total weight.
-    Written into bufs[0] and bufs[1], with bufs[2] as scratch; None if
-    the block holds no weight. On a block of the whole vector each step
-    is the one that building the weights takes.
-
-    Zero weights are masked out before any exp2, which leaves its fast
-    loop on -inf: the zeros of p under escort and utility weights (beta
-    is > 0 there, see Log2Weights.in_log2_domain) and the zeros of u * p
-    under tilted weights.
+    """[None, log2 p, g] for the block of entries from lo, g the
+    unnormalized log2 weights of rule w over d (core.Log2Weights), in
+    bufs[1] and bufs[0] with bufs[2] as scratch; None if no entry of the
+    block has weight. Only exact zeros of weight are masked out, so no g
+    is -inf: the zeros of p (beta is > 0 there, see
+    Log2Weights.in_log2_domain), and those of a tilted rule's u.
     """
     ubuf, xbuf, tbuf = bufs
-    kind, beta = w.kind, w.beta
+    beta, v = w.beta, w.extra  # v: the utilities, or a tilted rule's u
     pb = _span(d.values, lo)
-    if kind == "tilted":
-        ub = np.multiply(_span(w.extra, lo), pb, out=_head(ubuf, pb.size))
-        m, s = 0.0, float(np.add.reduce(ub))
-        if s == 0.0:
-            return None
-        if float(np.minimum.reduce(ub)) <= 0.0:
-            idx = np.flatnonzero(ub > 0.0)
-            pb, ub = _take(pb, idx, xbuf), _take(ub, idx, tbuf)
-        x = np.log2(pb, out=_head(xbuf, pb.size))
-        ub = np.divide(ub, s, out=_head(ubuf, pb.size))
+    vb = None if v is None else _span(v.values, lo)
+    if v is None or v._positive:
+        keep = None if d._positive else pb
     else:
-        idx = None
-        if not d._positive:
-            idx = np.flatnonzero(pb > 0.0)
-            if not idx.size:
-                return None
-            pb = _take(pb, idx, xbuf)
-        k = pb.size
-        x = np.log2(pb, out=_head(xbuf, k))
-        if type(beta) is not float:  # one exponent per entry
-            beta = _span(beta, lo) if idx is None else _take(_span(beta, lo), idx, tbuf)
-        g = np.multiply(x, beta, out=_head(ubuf, k))
-        if kind == "utility":
-            vb = _span(w.extra, lo) if idx is None else _take(_span(w.extra, lo), idx, tbuf)
-            g += np.log2(vb, out=_head(tbuf, k))
-        m, s = backends.active_kernels().shifted_exp2_weights(g, g)
-        ub = np.divide(g, s, out=g)
-    if float(np.minimum.reduce(ub)) <= 0.0:  # weights that underflowed annihilate their terms
-        idx = np.flatnonzero(ub > 0.0)
-        ub, x = ub[idx], x[idx]
-    if lam0:
-        return ub, x, None, (m, s)
-    return None, x, np.log2(ub, out=ub), (m, s)
+        keep = vb if d._positive else np.minimum(vb, pb, out=_head(tbuf, pb.size))
+    idx = None
+    if keep is not None:
+        idx = np.flatnonzero(keep > 0.0)
+        if not idx.size:
+            return None
+        pb = _take(pb, idx, xbuf)
+    k = pb.size
+    x = np.log2(pb, out=_head(xbuf, k))
+    if beta is None:  # tilted: log2 u + log2 p, never log2(u * p), which underflows
+        g = np.log2(vb if idx is None else _take(vb, idx, ubuf), out=_head(ubuf, k))
+        g += x
+        return None, x, g
+    if type(beta) is not float:  # one exponent per entry
+        beta = _span(beta, lo) if idx is None else _take(_span(beta, lo), idx, tbuf)
+    g = np.multiply(x, beta, out=_head(ubuf, k))
+    if v is not None:
+        g += np.log2(vb if idx is None else _take(vb, idx, tbuf), out=_head(tbuf, k))
+    return None, x, g
 
 
-def _log2_sum(parts) -> float:
-    """log2 of the sum of block partials (m, s), each worth 2^m * s:
-    shifted by the largest m and added with math.fsum."""
+def _shifted_sum(parts) -> tuple:
+    """(top, S) with sum_b 2^m_b * s_b = 2^top * S over block partials
+    (m, s): shifted by the largest m and added with math.fsum."""
+    if len(parts) == 1:
+        return parts[0]
     top = max(m for m, _ in parts)
-    return top + float(np.log2(math.fsum(s * 2.0 ** (m - top) for m, s in parts)))
+    return top, math.fsum(s * 2.0 ** (m - top) for m, s in parts)
 
 
 class _Product:
@@ -298,7 +282,10 @@ def _walk(weights, dist, rs) -> dict:
     InforcerError its mean raised, as a walk at that r alone gives it; a
     check every r shares raises. Each block is produced once, through
     three buffers allocated per call (numpy's own outputs for a vector of
-    one block), and every r's kernel step runs on it in turn."""
+    one block), and every r's kernel step runs on it in turn. A rule's
+    mean is a ratio over its log2 weights g: log2 sum 2^(g + r log2 p) -
+    log2 sum 2^g, or sum 2^g log2 p / sum 2^g; per block, one
+    denominator partial serves every r."""
     lam0 = rs[0] is None
     rule = type(weights) is Log2Weights
     if type(dist) is _Product:
@@ -315,13 +302,16 @@ def _walk(weights, dist, rs) -> dict:
     # a vector of one block reuses nothing, so numpy allocates its arrays
     bufs = np.empty((3, _BLOCK)) if n > _BLOCK else (None, None, None)
     step = _rule_block if rule else _linear_block
+    # a rule's kernel exponents (g - m) + r log2 p span (2|r| + 4|beta|) *
+    # 1074 and a little more: past SAFE_EXPONENT a term may fall to 2^-inf
+    wide = rule and not lam0 and 2.0 * max(map(abs, rs)) + 4.0 * weights.beta_abs > SAFE_EXPONENT
     kern = backends.active_kernels()
     scratch = bufs[2]
     out = {}
-    # (r, block partials) of each mean that still runs, and the (m, s)
-    # of each block that holds weight
+    # (r, block partials) of each mean that still runs, and a rule's
+    # denominator partials (m, s)
     live = [(r, []) for r in rs]
-    norms = []
+    dens = []
     for lo in range(0, n, _BLOCK):
         if not live:
             break
@@ -333,9 +323,13 @@ def _walk(weights, dist, rs) -> dict:
             return out
         if block is None:
             continue
-        u, x, log2u, norm = block
-        norms.append(norm)
-        t = scratch if scratch is None else _head(scratch, x.size)
+        u, x, log2u = block
+        t = np.empty(x.size) if rule and scratch is None else _head(scratch, x.size)
+        if rule:  # 2^(g - m) into t, and the numerator's g shifted the same
+            dens.append(kern.shifted_exp2_weights(log2u, t))
+            u = t
+            if not lam0:
+                log2u -= dens[-1][0]
         for mean in tuple(live):
             r, parts = mean
             if lam0:
@@ -345,24 +339,25 @@ def _walk(weights, dist, rs) -> dict:
             elif abs(r) > SAFE_EXPONENT and math.isinf(r * float(np.minimum.reduce(x))):
                 out[r] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
                 live.remove(mean)
-            else:
+            elif not wide:
                 parts.append(kern.weighted_log2_sumexp(x if log2u is None else log2u, x, r, t))
-    if rule and len(norms) > 1:
-        # each block's weights sum to 1 on their own: weigh its partial
-        # by its share of the rule's total weight
-        top = max(m for m, _ in norms)
-        mass = [s * 2.0 ** (m - top) for m, s in norms]
-        total = math.fsum(mass)
-        shares = [a / total for a in mass]
+            else:
+                with np.errstate(over="ignore"):
+                    parts.append(kern.weighted_log2_sumexp(log2u, x, r, t))
+    # the denominator: a rule's total weight 2^top * total; other weights sum to 1
+    top, total = _shifted_sum(dens) if dens else (0.0, 1.0)
     for r, parts in live:
         if not parts:
             out[r] = DegenerateWeights("all weights are zero")
-        elif len(parts) == 1:  # the exact combination of one partial is the partial itself
-            out[r] = parts[0] if lam0 else parts[0][0] + float(np.log2(parts[0][1]))
         elif lam0:
-            out[r] = math.fsum(map(operator.mul, parts, shares) if rule else parts)
+            if rule:  # each partial counts in units of its block's 2^m of weight
+                parts = [a * 2.0 ** (m - top) for a, (m, _) in zip(parts, dens)]
+            out[r] = math.fsum(parts) / total
         else:
-            out[r] = _log2_sum([(m, s * c) for (m, s), c in zip(parts, shares) if c > 0.0] if rule else parts)
+            if rule:
+                parts = [(a + (m - top), s) for (a, s), (m, _) in zip(parts, dens)]
+            m, s = _shifted_sum(parts)
+            out[r] = m + float(np.log2(s / total))
     return out
 
 

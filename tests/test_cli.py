@@ -199,9 +199,16 @@ class TestCompute:
                                          "--p", "0.3,0.7", "--format", "json"])
         assert (code, err) == (0, "")
         assert out == (
-            '{"measure": "rathie", "value": 0.9808107975218221, "params": {"alpha": 2.0, "betas": [0.5, 1.5]}, '
+            '{"measure": "rathie", "value": 0.9808107975218219, "params": {"alpha": 2.0, "betas": [0.5, 1.5]}, '
             '"engine": {"tau": -1.0, "lambda": -1.0, "c": 1.0, "e": 0.0}, "n": 2, "unit": "bits"}\n'
         )
+
+    def test_escort_weight_that_underflows_keeps_its_term(self, capsys):
+        # p_1^2 = 1e-600 underflows, but its term p_1^-1 = 1e300 is the
+        # whole of log2(sum p^-1 / sum p^2) / 3 = 332.19280948873626
+        code, out, err = invoke(capsys, ["compute", "--measure", "aczel_daroczy_b", "--alpha", "-1", "--beta", "2",
+                                         "--p", "1e-300,1", "--renormalize"])
+        assert (code, out, err) == (0, "332.192809489\n", "")
 
     def test_unnormalized_rejected_without_flag(self, capsys):
         code, _, err = invoke(capsys, ["compute", "--measure", "shannon", "--p", "0.5,0.6"])
