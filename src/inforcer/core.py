@@ -206,8 +206,8 @@ SAFE_EXPONENT = 1.6e305
 
 
 def _exponent_guard(b_abs: float):
-    # b * log2(p) with every |b| <= b_abs; past SAFE_EXPONENT its +-inf is
-    # what _normalized_exp2 expects
+    # b * log2(p) with every |b| <= b_abs, or g - max g for a spread b_abs;
+    # past SAFE_EXPONENT its +-inf is what _normalized_exp2 and _walk expect
     return _NO_GUARD if b_abs <= SAFE_EXPONENT else np.errstate(over="ignore")
 
 
@@ -225,7 +225,8 @@ def _normalized_exp2(t: np.ndarray, rule: Log2Weights) -> WeightVector:
         b = rule.beta
         what = f"beta = {b!r} is" if type(b) is float else f"betas up to {rule.beta_abs!r} are"
         raise Overflow(f"{what} too large: beta*log2(p) leaves the double range")
-    total = backends.active_kernels().shifted_exp2_weights(t, t)[1]
+    with _exponent_guard(rule.spread):
+        total = backends.active_kernels().shifted_exp2_weights(t, t)[1]
     t /= total
     return WeightVector(_Built(t))
 
@@ -244,13 +245,15 @@ class Log2Weights:
     in_log2_domain() says whether the engine may read g instead.
     """
 
-    __slots__ = ("kind", "dist", "beta", "beta_abs", "extra")
+    __slots__ = ("kind", "dist", "beta", "beta_abs", "spread", "extra")
 
-    def __init__(self, kind: str, dist: Distribution, beta, beta_abs: float, extra) -> None:
+    def __init__(self, kind: str, dist: Distribution, beta, beta_abs: float, extra, spread=None) -> None:
         self.kind = kind
         self.dist = dist
         self.beta = beta          # float, 1-d array, or None (tilted)
         self.beta_abs = beta_abs  # largest |beta|
+        # max - min of the betas and 0: g spans about spread * 1074 at most
+        self.spread = beta_abs if spread is None else spread
         self.extra = extra        # the UtilityVector v, or the WeightVector u of a tilted rule
 
     def weights(self) -> WeightVector:
@@ -308,7 +311,7 @@ def _escort(d: Distribution, beta) -> Log2Weights:
         lo, hi = float(np.minimum.reduce(b)), float(np.maximum.reduce(b))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise DegenerateWeights("escort exponent must be finite")
-        return Log2Weights("escort", d, b, max(-lo, hi), None)
+        return Log2Weights("escort", d, b, max(-lo, hi), None, max(hi, 0.0) - min(lo, 0.0))
     raise DegenerateWeights(f"escort exponent must be scalar or vector, got shape {b.shape}")
 
 

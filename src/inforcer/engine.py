@@ -50,6 +50,7 @@ from .core import (
     SAFE_EXPONENT,
     Distribution,
     Log2Weights,
+    _NO_GUARD,
     as_distribution,
     as_weight_vector,
     check_length,
@@ -305,6 +306,9 @@ def _walk(weights, dist, rs) -> dict:
     # a rule's kernel exponents (g - m) + r log2 p span (2|r| + 4|beta|) *
     # 1074 and a little more: past SAFE_EXPONENT a term may fall to 2^-inf
     wide = rule and not lam0 and 2.0 * max(map(abs, rs)) + 4.0 * weights.beta_abs > SAFE_EXPONENT
+    # g itself spans past SAFE_EXPONENT only for escort exponents of both
+    # signs; g - max g then falls to -inf, whose 2^-inf = 0 is exact
+    wide_g = rule and weights.spread > SAFE_EXPONENT
     kern = backends.active_kernels()
     scratch = bufs[2]
     out = {}
@@ -326,10 +330,11 @@ def _walk(weights, dist, rs) -> dict:
         u, x, log2u = block
         t = np.empty(x.size) if rule and scratch is None else _head(scratch, x.size)
         if rule:  # 2^(g - m) into t, and the numerator's g shifted the same
-            dens.append(kern.shifted_exp2_weights(log2u, t))
+            with np.errstate(over="ignore") if wide_g else _NO_GUARD:
+                dens.append(kern.shifted_exp2_weights(log2u, t))
+                if not lam0:
+                    log2u -= dens[-1][0]
             u = t
-            if not lam0:
-                log2u -= dens[-1][0]
         for mean in tuple(live):
             r, parts = mean
             if lam0:

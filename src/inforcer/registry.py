@@ -1,10 +1,12 @@
 """Named measure catalog.
 
 Every row maps user-facing parameters onto the engine bundle
-(tau, lambda, c, e) plus a weight rule, and carries an independent
-closed-form evaluator (reference_evaluate) written straight from the
-measure's textbook formula. The two routes must agree; tests hold them
-to 1e-10 relative on valid inputs.
+(tau, lambda, c, e) plus a weight rule. reference_evaluate takes a row
+a second way, apart from the engine: its textbook formula, one entry of
+_CLOSED_FORMS, over the sums it reads, sum_k w_k p_k^a and sum_k w_k
+p_k^a log2 p_k (_Sums). The sums settle which terms and weights the
+rule selects and keep any power of two past the double range apart, so
+each formula is only its formula. Tests hold the two routes to 1e-10.
 
 A row declares its weight rule once, in the spelling entropy and
 core.resolve_weight_rule accept, with names where the values go:
@@ -26,6 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -110,7 +113,6 @@ class MeasureSpec:
     rules: tuple[Rule, ...]
     formula: str
     engine: Callable[[dict], PolyParams] = field(repr=False, default=None)
-    reference: Callable = field(repr=False, default=None)
     dual: Callable[[dict], tuple[str, dict]] | None = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
@@ -252,350 +254,119 @@ def _row(*fields, **optional) -> None:
     _SPECS[spec.name] = spec
 
 
-# -- reference formulas (independent closed forms) ---------------------
-# Each masks away annihilated terms: zero self-weight, zero external
-# weight, or zero escort numerator. All logs base 2.
-
-def _supp(p: np.ndarray) -> np.ndarray:
-    return p[p > 0.0]
-
-
-def _supp2(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    keep = w > 0.0
-    return p[keep], w[keep]
-
-
-def _ref_shannon(d, ps, u, v):
-    p = _supp(d.values)
-    return -float(np.sum(p * np.log2(p)))
-
-
-def _ref_renyi(d, ps, u, v):
-    p, a = _supp(d.values), ps["alpha"]
-    return float(np.log2(np.sum(p ** a)) / (1.0 - a))
-
-
-def _ref_varma_a(d, ps, u, v):
-    p, a, m = _supp(d.values), ps["alpha"], ps["mu"]
-    return float(np.log2(np.sum(p ** (a - m + 1.0))) / (m - a))
-
-
-def _ref_varma_b(d, ps, u, v):
-    p, a, m = _supp(d.values), ps["alpha"], ps["mu"]
-    return float(m / (m - a) * np.log2(np.sum(p ** (a / m))))
-
-
-def _ref_nath_a(d, ps, u, v):
-    p, a, m = _supp(d.values), ps["alpha"], ps["mu"]
-    return float(np.log2(np.sum(p ** (m * (a - 1.0) + 1.0))) / (1.0 - a))
-
-
-def _ref_nath_b(d, ps, u, v):
-    p, a, m = _supp(d.values), ps["alpha"], ps["mu"]
-    return float(np.log2(np.sum(p ** (a ** m))) / (1.0 - a))
-
-
-def _ref_aczel_daroczy_a(d, ps, u, v):
-    p, b = _supp(d.values), ps["beta"]
-    return -float(np.sum(p ** b * np.log2(p)) / np.sum(p ** b))
-
-
-def _ref_aczel_daroczy_b(d, ps, u, v):
-    p, a, b = _supp(d.values), ps["alpha"], ps["beta"]
-    return float(np.log2(np.sum(p ** a) / np.sum(p ** b)) / (b - a))
-
-
-def _ref_kapur(d, ps, u, v):
-    p, a, b = _supp(d.values), ps["alpha"], ps["beta"]
-    return float(np.log2(np.sum(p ** (a + b - 1.0)) / np.sum(p ** b)) / (1.0 - a))
-
-
-def _ref_rathie(d, ps, u, v):
-    check_length(ps["betas"], d.values, "escort exponent")
-    keep = d.values > 0.0
-    p, b, a = d.values[keep], ps["betas"][keep], ps["alpha"]
-    return float(np.log2(np.sum(p ** (a + b - 1.0)) / np.sum(p ** b)) / (1.0 - a))
-
-
-def _ref_khan_autar(d, ps, u, v):
-    keep = d.values > 0.0
-    p, w, a, b = d.values[keep], v.values[keep], ps["alpha"], ps["beta"]
-    return float(np.log2(np.sum(w * p ** (a + b - 1.0)) / np.sum(w * p ** b)) / (1.0 - a))
-
-
-def _ref_singh(d, ps, u, v):
-    keep = d.values > 0.0
-    p, w, a, b = d.values[keep], v.values[keep], ps["alpha"], ps["beta"]
-    return float(np.log2(np.sum(w * p ** (a * b)) / np.sum(w * p ** b)) / (1.0 - a))
-
-
-def _ref_havrda_charvat(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float((np.sum(p ** g) - 1.0) / (2.0 ** (1.0 - g) - 1.0))
-
-
-def _ref_sharma_mittal_a(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float((2.0 ** ((g - 1.0) * np.sum(p * np.log2(p))) - 1.0) / (2.0 ** (1.0 - g) - 1.0))
-
-
-def _ref_sharma_mittal_b(d, ps, u, v):
-    p, a, g = _supp(d.values), ps["alpha"], ps["gamma"]
-    return float((np.sum(p ** a) ** ((1.0 - g) / (1.0 - a)) - 1.0) / (2.0 ** (1.0 - g) - 1.0))
-
-
-def _ref_tsallis(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float((np.sum(p ** g) - 1.0) / (1.0 - g))
-
-
-def _ref_frank_daffertshofer_a(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float((2.0 ** ((g - 1.0) * np.sum(p * np.log2(p))) - 1.0) / (1.0 - g))
-
-
-def _ref_frank_daffertshofer_b(d, ps, u, v):
-    p, a, g = _supp(d.values), ps["alpha"], ps["gamma"]
-    return float((np.sum(p ** a) ** ((1.0 - g) / (1.0 - a)) - 1.0) / (1.0 - g))
-
-
-def _ref_arimoto(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float((np.sum(p ** (1.0 / g)) ** g - 1.0) / (g - 1.0))
-
-
-def _ref_boekee_van_der_lubbe(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float(g / (1.0 - g) * (np.sum(p ** g) ** (1.0 / g) - 1.0))
-
-
-def _ref_van_der_lubbe_a(d, ps, u, v):
-    p = _supp(d.values)
-    return float(ps["tau"] * np.sum(p * np.log2(p)))
-
-
-def _ref_van_der_lubbe_b(d, ps, u, v):
-    p, t, l = _supp(d.values), ps["tau"], ps["lam"]
-    return float(np.log2(np.sum(p ** (1.0 + t * l))) / l)
-
-
-def _ref_van_der_lubbe_c(d, ps, u, v):
-    p, t, c, e = _supp(d.values), ps["tau"], ps["c"], ps["e"]
-    return float((2.0 ** (t * c * np.sum(p * np.log2(p))) - 1.0) / e)
-
-
-def _ref_van_der_lubbe_d(d, ps, u, v):
-    p, t, l, c, e = _supp(d.values), ps["tau"], ps["lam"], ps["c"], ps["e"]
-    return float((np.sum(p ** (1.0 + t * l)) ** (c / l) - 1.0) / e)
-
-
-def _ref_kerridge(d, ps, u, v):
-    p, w = _supp2(d.values, u.values)
-    return -float(np.sum(w * np.log2(p)))
-
-
-def _ref_nath_inaccuracy_a(d, ps, u, v):
-    p, w = _supp2(d.values, u.values)
-    g = ps["gamma"]
-    return float((np.sum(w * p ** (g - 1.0)) - 1.0) / (2.0 ** (1.0 - g) - 1.0))
-
-
-def _ref_nath_inaccuracy_b(d, ps, u, v):
-    p, w = _supp2(d.values, u.values)
-    a = ps["alpha"]
-    return float(np.log2(np.sum(w * p ** (a - 1.0))) / (1.0 - a))
-
-
-def _ref_gupta_sharma_a(d, ps, u, v):
-    p, w = _supp2(d.values, u.values)
-    g = ps["gamma"]
-    return float((2.0 ** ((g - 1.0) * np.sum(w * np.log2(p))) - 1.0) / (2.0 ** (1.0 - g) - 1.0))
-
-
-def _ref_gupta_sharma_b(d, ps, u, v):
-    p, w = _supp2(d.values, u.values)
-    a, g = ps["alpha"], ps["gamma"]
-    return float((np.sum(w * p ** (a - 1.0)) ** ((1.0 - g) / (1.0 - a)) - 1.0) / (2.0 ** (1.0 - g) - 1.0))
-
-
-def _ref_onicescu(d, ps, u, v):
-    return float(np.sum(d.values ** 2))
-
-
-def _ref_teodorescu(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float(np.sum(p ** g) / (g - 1.0))
-
-
-def _ref_pardo_taneja(d, ps, u, v):
-    p, g = _supp(d.values), ps["gamma"]
-    return float(np.sum(p ** g))
-
-
-def _ref_pardo(d, ps, u, v):
-    p, w = _supp2(d.values, u.values)
-    g = ps["gamma"]
-    return float(np.sum(w * p ** g) / np.sum(w * p) / (g - 1.0))
-
-
-def _ref_tuteja(d, ps, u, v):
-    p, w = _supp2(d.values, u.values)
-    b, g = ps["beta"], ps["gamma"]
-    return float((np.sum(w * p ** g) / np.sum(w * p)) ** ((g - 1.0) / (b - 1.0)) / (g - 1.0))
-
-
-def _ref_van_der_lubbe_certainty_a(d, ps, u, v):
-    p = _supp(d.values)
-    return float(2.0 ** (ps["tau"] * np.sum(p * np.log2(p))))
-
-
-def _ref_van_der_lubbe_certainty_b(d, ps, u, v):
-    p, t, l = _supp(d.values), ps["tau"], ps["lam"]
-    return float(np.sum(p ** (1.0 + t * l)) ** (1.0 / l))
-
-
-def _ref_bhatia_a(d, ps, u, v):
-    p, b, t = _supp(d.values), ps["beta"], ps["tau"]
-    return float(2.0 ** (t * np.sum(p ** b * np.log2(p)) / np.sum(p ** b)))
-
-
-def _ref_bhatia_b(d, ps, u, v):
-    p, b, t, l = _supp(d.values), ps["beta"], ps["tau"], ps["lam"]
-    return float((np.sum(p ** (b + t * l)) / np.sum(p ** b)) ** (1.0 / l))
-
-
 # -- catalog -----------------------------------------------------------
 
 _row(
     "shannon", "information", "self", (), (),
     "-sum p_k log2 p_k",
     lambda ps: PolyParams(-1.0, 0.0),
-    _ref_shannon,
 )
 _row(
     "renyi", "information", "self", ("alpha",),
     (("alpha", ">", 0), ("alpha", "!=", 1)),
     "log2(sum p_k^alpha) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _ref_renyi,
 )
 _row(
     "varma_a", "information", "self", ("alpha", "mu"),
     (("mu", ">=", 1), ("alpha", "<", "mu"), ("alpha", ">", "mu-1")),
     "log2(sum p_k^(alpha - mu + 1)) / (mu - alpha)",
     lambda ps: PolyParams(-1.0, ps["mu"] - ps["alpha"]),
-    _ref_varma_a,
 )
 _row(
     "varma_b", "information", "self", ("alpha", "mu"),
     (("mu", ">=", 1), ("alpha", "<", "mu"), ("alpha", ">", "mu-1")),
     "(mu / (mu - alpha)) log2(sum p_k^(alpha / mu))",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"] / ps["mu"]),
-    _ref_varma_b,
 )
 _row(
     "nath_a", "information", "self", ("alpha", "mu"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("mu", ">", 0)),
     "log2(sum p_k^(mu (alpha - 1) + 1)) / (1 - alpha)",
     lambda ps: PolyParams(-ps["mu"], 1.0 - ps["alpha"]),
-    _ref_nath_a,
 )
 _row(
     "nath_b", "information", "self", ("alpha", "mu"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("mu", ">", 0)),
     "log2(sum p_k^(alpha^mu)) / (1 - alpha)",
     lambda ps: PolyParams((ps["alpha"] ** ps["mu"] - 1.0) / (1.0 - ps["alpha"]), 1.0 - ps["alpha"]),
-    _ref_nath_b,
 )
 _row(
     "aczel_daroczy_a", "information", ("escort", "beta"), ("beta",), (),
     "-sum p_k^beta log2 p_k / sum p_k^beta",
     lambda ps: PolyParams(-1.0, 0.0),
-    _ref_aczel_daroczy_a,
 )
 _row(
     "aczel_daroczy_b", "information", ("escort", "beta"), ("alpha", "beta"),
     (("alpha", "!=", "beta"),),
     "log2(sum p_k^alpha / sum p_k^beta) / (beta - alpha)",
     lambda ps: PolyParams(-1.0, ps["beta"] - ps["alpha"]),
-    _ref_aczel_daroczy_b,
 )
 _row(
     "kapur", "information", ("escort", "beta"), ("alpha", "beta"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("beta", ">", 0)),
     "log2(sum p_k^(alpha + beta - 1) / sum p_k^beta) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _ref_kapur,
 )
 _row(
     "rathie", "information", ("escort", "betas"), ("alpha", "betas"),
     (("alpha", ">", 0), ("alpha", "!=", 1)),
     "log2(sum p_k^(alpha + beta_k - 1) / sum p_k^beta_k) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _ref_rathie,
 )
 _row(
     "khan_autar", "information", ("utility", "beta", "V"), ("alpha", "beta"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("beta", ">", 0)),
     "log2(sum v_k p_k^(alpha + beta - 1) / sum v_k p_k^beta) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _ref_khan_autar,
 )
 _row(
     "singh", "information", ("utility", "beta", "V"), ("alpha", "beta"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("beta", ">", 0)),
     "log2(sum v_k p_k^(alpha beta) / sum v_k p_k^beta) / (1 - alpha)",
     lambda ps: PolyParams(-ps["beta"], 1.0 - ps["alpha"]),
-    _ref_singh,
 )
 _row(
     "havrda_charvat", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(sum p_k^gamma - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _ref_havrda_charvat,
 )
 _row(
     "sharma_mittal_a", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(2^((gamma - 1) sum p_k log2 p_k) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 0.0, 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _ref_sharma_mittal_a,
 )
 _row(
     "sharma_mittal_b", "information", "self", ("alpha", "gamma"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum p_k^alpha)^((1 - gamma)/(1 - alpha)) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _ref_sharma_mittal_b,
 )
 _row(
     "tsallis", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(sum p_k^gamma - 1) / (1 - gamma)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"], 1.0 - ps["gamma"]),
-    _ref_tsallis,
 )
 _row(
     "frank_daffertshofer_a", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(2^((gamma - 1) sum p_k log2 p_k) - 1) / (1 - gamma)",
     lambda ps: PolyParams(-1.0, 0.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"]),
-    _ref_frank_daffertshofer_a,
 )
 _row(
     "frank_daffertshofer_b", "information", "self", ("alpha", "gamma"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum p_k^alpha)^((1 - gamma)/(1 - alpha)) - 1) / (1 - gamma)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"], 1.0 - ps["gamma"], 1.0 - ps["gamma"]),
-    _ref_frank_daffertshofer_b,
 )
 _row(
     "arimoto", "information", "self", ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum p_k^(1/gamma))^gamma - 1) / (gamma - 1)",
     lambda ps: PolyParams(-1.0, (ps["gamma"] - 1.0) / ps["gamma"], ps["gamma"] - 1.0, ps["gamma"] - 1.0),
-    _ref_arimoto,
 )
 _row(
     "boekee_van_der_lubbe", "information", "self", ("gamma",),
@@ -604,75 +375,64 @@ _row(
     lambda ps: PolyParams(
         -1.0, 1.0 - ps["gamma"], (1.0 - ps["gamma"]) / ps["gamma"], (1.0 - ps["gamma"]) / ps["gamma"]
     ),
-    _ref_boekee_van_der_lubbe,
 )
 _row(
     "van_der_lubbe_a", "information", "self", ("tau",),
     (("tau", "<", 0),),
     "tau sum p_k log2 p_k",
     lambda ps: PolyParams(ps["tau"], 0.0),
-    _ref_van_der_lubbe_a,
 )
 _row(
     "van_der_lubbe_b", "information", "self", ("tau", "lam"),
     (("tau", "<", 0), ("lam", "!=", 0)),
     "log2(sum p_k^(1 + tau lam)) / lam",
     lambda ps: PolyParams(ps["tau"], ps["lam"]),
-    _ref_van_der_lubbe_b,
 )
 _row(
     "van_der_lubbe_c", "information", "self", ("tau", "c", "e"),
     (("tau", "<", 0), ("c*e", ">", 0)),
     "(2^(tau c sum p_k log2 p_k) - 1) / e",
     lambda ps: PolyParams(ps["tau"], 0.0, ps["c"], ps["e"]),
-    _ref_van_der_lubbe_c,
 )
 _row(
     "van_der_lubbe_d", "information", "self", ("tau", "lam", "c", "e"),
     (("tau", "<", 0), ("lam", "!=", 0), ("c*e", ">", 0)),
     "((sum p_k^(1 + tau lam))^(c/lam) - 1) / e",
     lambda ps: PolyParams(ps["tau"], ps["lam"], ps["c"], ps["e"]),
-    _ref_van_der_lubbe_d,
 )
 _row(
     "kerridge", "inaccuracy", ("external", "U"), (), (),
     "-sum u_k log2 p_k",
     lambda ps: PolyParams(-1.0, 0.0),
-    _ref_kerridge,
 )
 _row(
     "nath_inaccuracy_a", "inaccuracy", ("external", "U"), ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(sum u_k p_k^(gamma - 1) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _ref_nath_inaccuracy_a,
 )
 _row(
     "nath_inaccuracy_b", "inaccuracy", ("external", "U"), ("alpha",),
     (("alpha", ">", 0), ("alpha", "!=", 1)),
     "log2(sum u_k p_k^(alpha - 1)) / (1 - alpha)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
-    _ref_nath_inaccuracy_b,
 )
 _row(
     "gupta_sharma_a", "inaccuracy", ("external", "U"), ("gamma",),
     (("gamma", ">", 0), ("gamma", "!=", 1)),
     "(2^((gamma - 1) sum u_k log2 p_k) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 0.0, 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _ref_gupta_sharma_a,
 )
 _row(
     "gupta_sharma_b", "inaccuracy", ("external", "U"), ("alpha", "gamma"),
     (("alpha", ">", 0), ("alpha", "!=", 1), ("gamma", ">", 0), ("gamma", "!=", 1)),
     "((sum u_k p_k^(alpha - 1))^((1 - gamma)/(1 - alpha)) - 1) / (2^(1 - gamma) - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"], 1.0 - ps["gamma"], 2.0 ** (1.0 - ps["gamma"]) - 1.0),
-    _ref_gupta_sharma_b,
 )
 _row(
     "onicescu", "certainty", "self", (), (),
     "sum p_k^2",
     lambda ps: PolyParams(-1.0, -1.0, 1.0, 1.0),
-    _ref_onicescu,
     dual=lambda ps: ("renyi", {"alpha": 2.0}),
 )
 _row(
@@ -680,7 +440,6 @@ _row(
     (("gamma", ">", 1),),
     "sum p_k^gamma / (gamma - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], ps["gamma"] - 1.0, ps["gamma"] - 1.0),
-    _ref_teodorescu,
     dual=lambda ps: ("havrda_charvat", {"gamma": ps["gamma"]}),
 )
 _row(
@@ -688,7 +447,6 @@ _row(
     (("gamma", ">", 1),),
     "sum p_k^gamma",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], ps["gamma"] - 1.0, 1.0),
-    _ref_pardo_taneja,
     dual=lambda ps: ("renyi", {"alpha": ps["gamma"]}),
 )
 _row(
@@ -696,7 +454,6 @@ _row(
     (("gamma", ">", 1),),
     "(sum u_k p_k^gamma / sum u_k p_k) / (gamma - 1)",
     lambda ps: PolyParams(-1.0, 1.0 - ps["gamma"], ps["gamma"] - 1.0, ps["gamma"] - 1.0),
-    _ref_pardo,
     dual=lambda ps: ("renyi", {"alpha": ps["gamma"]}),
 )
 _row(
@@ -706,7 +463,6 @@ _row(
     lambda ps: PolyParams(
         (ps["gamma"] - 1.0) / (1.0 - ps["beta"]), 1.0 - ps["beta"], ps["gamma"] - 1.0, ps["gamma"] - 1.0
     ),
-    _ref_tuteja,
     dual=lambda ps: (
         "van_der_lubbe_d",
         {
@@ -722,7 +478,6 @@ _row(
     (("tau", ">", 0),),
     "2^(tau sum p_k log2 p_k)",
     lambda ps: PolyParams(-ps["tau"], 0.0, 1.0, 1.0),
-    _ref_van_der_lubbe_certainty_a,
     dual=lambda ps: ("van_der_lubbe_a", {"tau": -ps["tau"]}),
 )
 _row(
@@ -730,7 +485,6 @@ _row(
     (("tau", ">", 0), ("lam", "!=", 0)),
     "(sum p_k^(1 + tau lam))^(1/lam)",
     lambda ps: PolyParams(-ps["tau"], -ps["lam"], 1.0, 1.0),
-    _ref_van_der_lubbe_certainty_b,
     dual=lambda ps: ("van_der_lubbe_b", {"tau": -ps["tau"], "lam": -ps["lam"]}),
 )
 _row(
@@ -738,7 +492,6 @@ _row(
     (("tau", ">", 0),),
     "2^(tau sum p_k^beta log2 p_k / sum p_k^beta)",
     lambda ps: PolyParams(-ps["tau"], 0.0, 1.0, 1.0),
-    _ref_bhatia_a,
     dual=lambda ps: ("van_der_lubbe_a", {"tau": -ps["tau"]}),
 )
 _row(
@@ -746,9 +499,149 @@ _row(
     (("tau", ">", 0), ("lam", "!=", 0)),
     "(sum p_k^(beta + tau lam) / sum p_k^beta)^(1/lam)",
     lambda ps: PolyParams(-ps["tau"], -ps["lam"], 1.0, 1.0),
-    _ref_bhatia_b,
     dual=lambda ps: ("van_der_lubbe_b", {"tau": -ps["tau"], "lam": -ps["lam"]}),
 )
+
+
+# -- closed forms ------------------------------------------------------
+# Each row's textbook formula over the sums S of _Sums and the checked
+# parameters q; nothing here reads engine_params, PolyParams or kernels.
+
+class _Scaled:
+    """s * 2^k with k an exact Fraction: a sum whose power-of-two factor
+    is kept apart, so sums, their ratios and their powers stay finite
+    where the float would leave the double range. Mixed with a plain
+    number it is that float."""
+
+    __slots__ = ("s", "k")
+
+    def __init__(self, s, k) -> None:
+        self.s, self.k = s, k
+
+    def __truediv__(self, other):
+        if type(other) is _Scaled:
+            return _Scaled(self.s / other.s, self.k - other.k)
+        return float(self) / other
+
+    def __pow__(self, y: float) -> _Scaled:
+        from fractions import Fraction
+        return _Scaled(self.s ** y, self.k * Fraction(y))
+
+    def __neg__(self) -> _Scaled:
+        return _Scaled(-self.s, self.k)
+
+    def __sub__(self, x: float) -> float:
+        return float(self) - x
+
+    def __rmul__(self, x: float) -> float:
+        return x * float(self)
+
+    def __float__(self) -> float:
+        n = math.floor(self.k)
+        try:
+            return math.ldexp(float(self.s) * 2.0 ** float(self.k - n), n)
+        except OverflowError:
+            return math.copysign(math.inf, self.s)
+
+
+def _log2(x: _Scaled) -> float:
+    return float(x.k) + float(np.log2(x.s))
+
+
+def _two_m1(g: float) -> float:
+    return 2.0 ** (1.0 - g) - 1.0
+
+
+class _Sums:
+    """The sums a closed form reads: S(a) = sum_k w_k p_k^a and S.log(a) =
+    sum_k w_k p_k^a log2 p_k, over the support of u for external and
+    tilted rules and of p for the others, with w_k = u_k, v_k or 1.
+    S.beta is an escort or utility rule's exponent, per term for betas.
+
+    A sum whose largest p_k^a lies in [2^-969, 2^969] is the plain
+    np.power sum: up to 2^54 such terms keep every bit and stay finite.
+    Otherwise each term is taken relative to the largest, 2^(a log2 p_k
+    - top), and the largest's log2, top, is kept apart in a _Scaled."""
+
+    def __init__(self, spec: MeasureSpec, ps: dict, d, u, v) -> None:
+        w, p = (u if u is not None else v), d.values
+        if w is not None:
+            check_length(w.values, p, "weights" if u is not None else "utilities")
+        keep = (p if u is None else u.values) > 0.0
+        self.p, self.w = p[keep], 1.0 if w is None else w.values[keep]
+        self.beta = next((ps[a] for a in spec._reads if a in ps), None)
+        if type(self.beta) is np.ndarray:
+            check_length(self.beta, p, "escort exponent")
+            self.beta = self.beta[keep]
+
+    def log(self, a) -> _Scaled:
+        return self(a, np.log2(self.p))
+
+    def __call__(self, a, f=1.0) -> _Scaled:
+        # imported here: its decimal import would slow every CLI start
+        from fractions import Fraction
+        # log2 0 = -inf at a tilted rule's zeros of p, and a term past the
+        # double range falls to 2^-inf: each the exact limit
+        with np.errstate(over="ignore", divide="ignore"):
+            x = np.log2(self.p)
+            if np.ndim(a) == 0:  # the largest term is at max p for a >= 0, at min p for a < 0
+                x0 = float(np.maximum.reduce(x) if a >= 0.0 else np.minimum.reduce(x))
+                if x0 == -math.inf:  # a zero of p bounds the sum: the plain sum gives it
+                    x0 = 0.0
+                top, g = Fraction(a) * Fraction(x0), a * (x - x0)
+            else:
+                g = a * x
+                top = Fraction(float(np.maximum.reduce(g)))
+                g -= float(top)
+        if abs(top) <= 969:
+            t, top = np.power(self.p, a), 0
+        else:
+            t = np.exp2(g)
+        return _Scaled(np.add.reduce(t * self.w * f), top)
+
+
+_ESCORT_RATIO = lambda S, q: _log2(S(q.alpha + S.beta - 1.0) / S(S.beta)) / (1.0 - q.alpha)
+
+_CLOSED_FORMS: dict[str, Callable] = {
+    "shannon": lambda S, q: -S.log(1.0),
+    "renyi": lambda S, q: _log2(S(q.alpha)) / (1.0 - q.alpha),
+    "varma_a": lambda S, q: _log2(S(q.alpha - q.mu + 1.0)) / (q.mu - q.alpha),
+    "varma_b": lambda S, q: q.mu / (q.mu - q.alpha) * _log2(S(q.alpha / q.mu)),
+    "nath_a": lambda S, q: _log2(S(q.mu * (q.alpha - 1.0) + 1.0)) / (1.0 - q.alpha),
+    "nath_b": lambda S, q: _log2(S(q.alpha ** q.mu)) / (1.0 - q.alpha),
+    "aczel_daroczy_a": lambda S, q: -S.log(S.beta) / S(S.beta),
+    "aczel_daroczy_b": lambda S, q: _log2(S(q.alpha) / S(S.beta)) / (S.beta - q.alpha),
+    "kapur": _ESCORT_RATIO,
+    "rathie": _ESCORT_RATIO,
+    "khan_autar": _ESCORT_RATIO,
+    "singh": lambda S, q: _log2(S(q.alpha * S.beta) / S(S.beta)) / (1.0 - q.alpha),
+    "havrda_charvat": lambda S, q: (S(q.gamma) - 1.0) / _two_m1(q.gamma),
+    "sharma_mittal_a": lambda S, q: (2.0 ** ((q.gamma - 1.0) * S.log(1.0)) - 1.0) / _two_m1(q.gamma),
+    "sharma_mittal_b": lambda S, q: (S(q.alpha) ** ((1.0 - q.gamma) / (1.0 - q.alpha)) - 1.0) / _two_m1(q.gamma),
+    "tsallis": lambda S, q: (S(q.gamma) - 1.0) / (1.0 - q.gamma),
+    "frank_daffertshofer_a": lambda S, q: (2.0 ** ((q.gamma - 1.0) * S.log(1.0)) - 1.0) / (1.0 - q.gamma),
+    "frank_daffertshofer_b": lambda S, q: (S(q.alpha) ** ((1.0 - q.gamma) / (1.0 - q.alpha)) - 1.0) / (1.0 - q.gamma),
+    "arimoto": lambda S, q: (S(1.0 / q.gamma) ** q.gamma - 1.0) / (q.gamma - 1.0),
+    "boekee_van_der_lubbe": lambda S, q: q.gamma / (1.0 - q.gamma) * (S(q.gamma) ** (1.0 / q.gamma) - 1.0),
+    "van_der_lubbe_a": lambda S, q: q.tau * S.log(1.0),
+    "van_der_lubbe_b": lambda S, q: _log2(S(1.0 + q.tau * q.lam)) / q.lam,
+    "van_der_lubbe_c": lambda S, q: (2.0 ** (q.tau * q.c * S.log(1.0)) - 1.0) / q.e,
+    "van_der_lubbe_d": lambda S, q: (S(1.0 + q.tau * q.lam) ** (q.c / q.lam) - 1.0) / q.e,
+    "kerridge": lambda S, q: -S.log(0.0),
+    "nath_inaccuracy_a": lambda S, q: (S(q.gamma - 1.0) - 1.0) / _two_m1(q.gamma),
+    "nath_inaccuracy_b": lambda S, q: _log2(S(q.alpha - 1.0)) / (1.0 - q.alpha),
+    "gupta_sharma_a": lambda S, q: (2.0 ** ((q.gamma - 1.0) * S.log(0.0)) - 1.0) / _two_m1(q.gamma),
+    "gupta_sharma_b": lambda S, q: (S(q.alpha - 1.0) ** ((1.0 - q.gamma) / (1.0 - q.alpha)) - 1.0) / _two_m1(q.gamma),
+    "onicescu": lambda S, q: S(2.0),
+    "teodorescu": lambda S, q: S(q.gamma) / (q.gamma - 1.0),
+    "pardo_taneja": lambda S, q: S(q.gamma),
+    "pardo": lambda S, q: S(q.gamma) / S(1.0) / (q.gamma - 1.0),
+    "tuteja": lambda S, q: (S(q.gamma) / S(1.0)) ** ((q.gamma - 1.0) / (q.beta - 1.0)) / (q.gamma - 1.0),
+    "van_der_lubbe_certainty_a": lambda S, q: 2.0 ** (q.tau * S.log(1.0)),
+    "van_der_lubbe_certainty_b": lambda S, q: S(1.0 + q.tau * q.lam) ** (1.0 / q.lam),
+    "bhatia_a": lambda S, q: 2.0 ** (q.tau * (S.log(S.beta) / S(S.beta))),
+    "bhatia_b": lambda S, q: (S(S.beta + q.tau * q.lam) / S(S.beta)) ** (1.0 / q.lam),
+}
 
 
 # -- public api --------------------------------------------------------
@@ -798,14 +691,12 @@ def reference_evaluate(
     utilities=None,
     **params,
 ) -> float:
-    """Evaluate a catalog row through its literal closed form."""
+    """Evaluate a catalog row through its textbook closed form, apart
+    from the engine (see _Sums)."""
     spec = lookup(name)
     ps = spec.check_params(params)
-    d, u, v = spec._inputs(dist, weights, utilities)
-    for x, what in ((u, "weights"), (v, "utilities")):
-        if x is not None:
-            check_length(x.values, d.values, what)
-    return spec.reference(d, ps, u, v)
+    sums = _Sums(spec, ps, *spec._inputs(dist, weights, utilities))
+    return float(_CLOSED_FORMS[name](sums, SimpleNamespace(**ps)))
 
 
 def dual_verify(

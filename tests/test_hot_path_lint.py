@@ -5,9 +5,6 @@ np.maximum.reduce, np.minimum.reduce and the ndarray methods .all() and
 .any() in a few microseconds of Python dispatch each, which is most of
 a small-n call. Finiteness is judged by min and max on vectors and by
 math.isfinite on Python floats, so np.isfinite has no use there either.
-The closed-form references (registry._ref_*) are exempt: they are
-written straight from the textbook formulas and no call runs them on
-the engine path.
 """
 import ast
 from pathlib import Path
@@ -20,12 +17,10 @@ BANNED = {"sum", "max", "min", "all", "any", "isfinite"}
 
 
 def banned_calls(source: str) -> list:
-    """(line, "np.name") for each banned numpy call outside _ref_* functions."""
+    """(line, "np.name") for each banned numpy call."""
     found = []
 
     def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_ref_"):
-            return
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -43,7 +38,7 @@ def banned_calls(source: str) -> list:
 
 def test_lint_sees_a_banned_call():
     sample = "def f(x):\n    return np.sum(x)\n\ndef _ref_g(x):\n    return np.max(x)\n"
-    assert banned_calls(sample) == [(2, "np.sum")]
+    assert banned_calls(sample) == [(2, "np.sum"), (5, "np.max")]
 
 
 @pytest.mark.parametrize("name", HOT)

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from inforcer import DegenerateWeights, entropy, evaluate_named, make_distribution
+from inforcer import (
+    DegenerateWeights,
+    entropy,
+    escort_weights,
+    evaluate_named,
+    make_distribution,
+    reference_evaluate,
+)
 
 _SPEC = importlib.util.spec_from_file_location(
     "_oracle", Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py")
@@ -56,15 +63,41 @@ CASES = [
     ("tuteja", THREE, {"beta": 3.0, "gamma": 2.0}, U3, None),
     # beta*log2 p and tau*lambda*log2 p are each finite, their sum 2.6e308 is not
     ("aczel_daroczy_b", [2.0**-1000, 1 - 2.0**-1000], {"alpha": -2.6e305, "beta": -1.6e305}, None, None),
+    # sum_k p_k^-2 log2 p_k and sum_k p_k^-2 are each past the double range
+    ("aczel_daroczy_a", TWO, {"beta": -2.0}, None, None),
+    ("bhatia_a", TWO, {"beta": -2.0, "tau": 1.0}, None, None),
 ]
 
 
-@pytest.mark.parametrize("name, p, ps, u, v", CASES,
-                         ids=[f"{c[0]}-n{len(c[1])}-{i}" for i, c in enumerate(CASES)])
+_IDS = [f"{c[0]}-n{len(c[1])}-{i}" for i, c in enumerate(CASES)]
+
+
+@pytest.mark.parametrize("name, p, ps, u, v", CASES, ids=_IDS)
 def test_row_holds_the_oracle_value(name, p, ps, u, v):
     got = evaluate_named(name, make_distribution(p), weights=u, utilities=v, **ps)
     want = oracle.row_value(name, oracle.terms(p, u, v, ps.get("betas")), ps)
     assert _close(got, want), (got, want)
+
+
+@pytest.mark.parametrize("name, p, ps, u, v", CASES, ids=_IDS)
+def test_closed_form_holds_the_oracle_value(name, p, ps, u, v):
+    # sums such as sum_k p_k^-2 = 1e600 leave the double range unless
+    # scaled; their ratios do not
+    got = reference_evaluate(name, make_distribution(p), weights=u, utilities=v, **ps)
+    want = oracle.row_value(name, oracle.terms(p, u, v, ps.get("betas")), ps)
+    assert _close(got, want), (got, want)
+
+
+@pytest.mark.parametrize("b", [1.6e305, 1e305])
+def test_escort_exponents_of_both_signs_that_span_past_the_double_range(b):
+    # g = beta_k log2 p_k = (-1000 b, 1000 b, ~0): g - max g overflows to
+    # -inf, the exact limit 2^-inf = 0. The beta = -b entry dominates
+    # both sums, so the value is log2(p_2^(alpha - 1)) / (1 - alpha) =
+    # 1000. Judged by hand: at 60 digits the oracle's 2^(+-1.6e308)
+    # lose their exponent and it gives 0.
+    p, betas = [2.0**-1000, 2.0**-1000, 1 - 2.0**-999], [b, -b, 1.0]
+    assert evaluate_named("rathie", p, alpha=2.0, betas=betas) == 1000.0
+    assert escort_weights(p, betas).values.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_tilted_weight_whose_product_underflows_keeps_its_term():
