@@ -155,6 +155,8 @@ def as_weight_vector(weights) -> WeightVector:
         w = object.__new__(WeightVector)
         _freeze(w, weights.values, weights._positive)
         return w
+    if type(weights) is Log2Weights:  # a rule resolve_log2_weights left unbuilt
+        return weights.weights()
     return WeightVector(weights)
 
 
@@ -395,5 +397,4 @@ def resolve_weight_rule(dist, rule) -> WeightVector:
     Accepted forms: "self"; ("escort", beta); ("utility", beta, V);
     ("external", U); ("tilted", U).
     """
-    w = resolve_log2_weights(dist, rule)
-    return w.weights() if type(w) is Log2Weights else as_weight_vector(w)
+    return as_weight_vector(resolve_log2_weights(dist, rule))

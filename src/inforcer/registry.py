@@ -14,18 +14,19 @@ core.resolve_weight_rule accept, with names where the values go:
 "V"), ("external", "U") or ("tilted", "U"). "U" and "V" stand for the
 given weight and utility vectors, other names for checked parameters.
 The inputs a row takes, which points of a sweep share one walk and the
-listed weights all follow from the rule.
+listed weights all follow from the rule. MeasureSpec.build_weights, the
+one resolver of a row's weights, fills it in for resolve_log2_weights.
 
-Constraint rules are declarative triples (lhs, op, rhs) where each side
-is a parameter name or a number; each row compiles its triples once,
-when it is registered, and the printed constraints string is derived
-from the same triples so documentation cannot drift from enforcement.
+Constraint rules are triples (lhs, op, rhs) over parameter names and
+numbers, such as ("alpha", ">", "mu-1"). A row compiles each rule's
+printed text "lhs op rhs" once, when it is registered, where a name
+that is not a parameter fails, and check_params evaluates that text
+over the checked parameters: what `inforcer list` prints is enforced.
 """
 from __future__ import annotations
 
 import difflib
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import SimpleNamespace
@@ -34,14 +35,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    WeightVector,
     all_finite,
     as_distribution,
     as_utility_vector,
     as_weight_vector,
     check_length,
     resolve_log2_weights,
-    resolve_weight_rule,
 )
 from .duality import dual_check
 from .engine import (
@@ -53,14 +52,10 @@ from .engine import (
 )
 from .errors import ConstraintViolation, InforcerError, Overflow, UnknownMeasure
 
-_RELATIONS: dict[str, Callable[[float, float], bool]] = {
-    ">": operator.gt,
-    "<": operator.lt,
-    ">=": operator.ge,
-    "!=": operator.ne,
-}
-
 Rule = tuple
+
+# a rule's text reads only the checked parameters
+_NO_BUILTINS = {"__builtins__": {}}
 
 # The weights column of `inforcer list`, per declared weight rule.
 _RULE_TEXT: dict = {
@@ -71,35 +66,6 @@ _RULE_TEXT: dict = {
     ("external", "U"): "external U",
     ("tilted", "U"): "external U tilted by p",
 }
-
-
-def _operand(token, names: tuple) -> Callable[[dict], float]:
-    """Compile a rule operand into a reader of checked parameters: a
-    number, a parameter name, or the two compound forms "a*b" and "a-1"
-    used by a handful of rows."""
-    if isinstance(token, str):
-        if token in names:
-            return operator.itemgetter(token)
-        if "*" in token:
-            left, right = (_operand(t, names) for t in token.split("*", 1))
-            return lambda ps: left(ps) * right(ps)
-        if "-" in token and not token.lstrip("-").isalpha():
-            left, right = token.rsplit("-", 1)
-            minuend, subtrahend = _operand(left, names), float(right)
-            return lambda ps: minuend(ps) - subtrahend
-    value = float(token)
-    return lambda ps: value
-
-
-def _rule_text(rule: Rule) -> str:
-    lhs, op, rhs = rule
-    return f"{lhs} {op} {rhs}"
-
-
-def _compile_rule(rule: Rule, names: tuple) -> tuple:
-    """(relation, lhs reader, rhs reader, text) for one rule triple."""
-    lhs, op, rhs = rule
-    return _RELATIONS[op], _operand(lhs, names), _operand(rhs, names), _rule_text(rule)
 
 
 @dataclass(frozen=True)
@@ -116,12 +82,16 @@ class MeasureSpec:
     dual: Callable[[dict], tuple[str, dict]] | None = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
-        # the rules are compiled once; check_params only reads them
-        object.__setattr__(self, "_checks", tuple(_compile_rule(r, self.params) for r in self.rules))
+        # each rule's printed text is compiled once; check_params only evaluates it
+        texts = [f"{lhs} {op} {rhs}" for lhs, op, rhs in self.rules]
+        object.__setattr__(self, "_checks", tuple((compile(t, self.name, "eval"), t) for t in texts))
+        for code, text in self._checks:
+            if stray := [a for a in code.co_names if a not in self.params]:
+                raise ValueError(f"{self.name}: rule {text!r} names {', '.join(stray)}, not a parameter")
 
     @property
     def constraints(self) -> str:
-        return ", ".join(_rule_text(r) for r in self.rules) if self.rules else "none"
+        return ", ".join(text for _, text in self._checks) or "none"
 
     @property
     def weight_rule(self) -> str:
@@ -163,8 +133,8 @@ class MeasureSpec:
                 ps[k] = x = float(v)
                 if not math.isfinite(x):
                     raise ConstraintViolation(f"{self.name}: {k} must be finite")
-        for relation, lhs, rhs, text in self._checks:
-            if not relation(lhs(ps), rhs(ps)):
+        for code, text in self._checks:
+            if not eval(code, _NO_BUILTINS, ps):
                 raise ConstraintViolation(f"{self.name}: constraint violated: {text}")
         return ps
 
@@ -178,7 +148,7 @@ class MeasureSpec:
         """(distribution, external weights or None, utilities or None),
         validated, with exactly the inputs this row's weight rule reads.
         Their lengths are left to the rule's builder in
-        resolve_weight_rule, which checks each once."""
+        resolve_log2_weights, which checks each once."""
         d = as_distribution(dist)
         u = as_weight_vector(weights) if weights is not None else None
         v = as_utility_vector(utilities) if utilities is not None else None
@@ -193,26 +163,22 @@ class MeasureSpec:
             raise ConstraintViolation(f"{self.name}: takes no utility vector")
         return d, u, v
 
-    def _rule(self, dist, ps: dict, weights, utilities) -> tuple:
-        """(distribution, the declared weight rule with its names filled
-        in from ps and the given U and V)."""
+    def build_weights(self, dist, ps: dict, weights=None, utilities=None):
+        """The declared weight rule, its names filled in from ps and the
+        given U and V, in the form resolve_log2_weights gives it: dist
+        itself, a WeightVector or an unbuilt Log2Weights, which
+        core.as_weight_vector builds."""
         d, u, v = self._inputs(dist, weights, utilities)
         rule = self.weights
         if rule != "self":
             rule = (rule[0], *[u if a == "U" else v if a == "V" else ps[a] for a in rule[1:]])
-        return d, rule
-
-    def build_weights(self, dist, ps: dict, weights=None, utilities=None) -> WeightVector:
-        """The declared weight rule, its names filled in from ps and the
-        given U and V, built by resolve_weight_rule."""
-        return resolve_weight_rule(*self._rule(dist, ps, weights, utilities))
+        return resolve_log2_weights(d, rule)
 
     def evaluate(self, ps: dict, dist, weights=None, utilities=None) -> float:
         """Evaluate this row through the engine on parameters that
-        check_params already returned, over the weights in the form
-        resolve_log2_weights gives them."""
-        d, rule = self._rule(dist, ps, weights, utilities)
-        w = resolve_log2_weights(d, rule)
+        check_params already returned."""
+        d = as_distribution(dist)
+        w = self.build_weights(d, ps, weights, utilities)
         return inforcer_measure(w, d, MeasureParams.of(self.family, self.engine_params(ps)))
 
     def sweep(self, params: dict, param: str, values, dist, weights=None, utilities=None) -> list:
@@ -220,24 +186,24 @@ class MeasureSpec:
         values in turn: per value, the float or the InforcerError raised.
 
         Every point runs the checks of one evaluation in the same order.
-        Each run of points whose weight-rule inputs agree then shares one
-        walk per kind (engine.inforcer_measures), which takes each distinct
-        inner mean once, so a sweep holds one block's buffers at any n and
-        each value is what a call per point gives.
+        The weights are resolved once, or at every point where the weight
+        rule reads param, and each run of points over one set of weights
+        shares one walk per kind (engine.inforcer_measures), which takes
+        each distinct inner mean once, so a sweep holds one block's
+        buffers at any n and each value is what a call per point gives.
         """
-        reads = [a for a in self._reads if a in self.params]
+        reread = param in self._reads
         out: list = []
-        run: list = []         # (index into out, MeasureParams) of the points that wait for w's walk
-        key = w = d = None     # weight-rule inputs, and the weights and distribution for them
+        run: list = []   # (index into out, MeasureParams) of the points that wait for w's walk
+        w = d = None     # the weights and distribution of the run
         for value in values:
             try:
                 ps = self.check_params({**params, param: value})
-                k = tuple(ps[r].tobytes() if r == "betas" else ps[r] for r in reads)
-                if w is None or k != key:
+                if w is None or reread:
                     inforcer_measures(w, d, run, out)
-                    run, key, w = [], k, None   # drop the previous weights before resolving
-                    d, rule = self._rule(dist, ps, weights, utilities)
-                    w = resolve_log2_weights(d, rule)
+                    run, w = [], None   # drop the previous weights before resolving
+                    d = as_distribution(dist)
+                    w = self.build_weights(d, ps, weights, utilities)
                 run.append((len(out), MeasureParams.of(self.family, self.engine_params(ps))))
                 out.append(None)
             except InforcerError as err:
@@ -556,7 +522,8 @@ class _Sums:
     """The sums a closed form reads: S(a) = sum_k w_k p_k^a and S.log(a) =
     sum_k w_k p_k^a log2 p_k, over the support of u for external and
     tilted rules and of p for the others, with w_k = u_k, v_k or 1.
-    S.beta is an escort or utility rule's exponent, per term for betas.
+    S.beta is an escort or utility rule's exponent, per term for betas,
+    which S(a, b) = sum_k w_k p_k^(b_k + a) keeps apart from a power a.
 
     A sum whose largest p_k^a lies in [2^-969, 2^969] is the plain
     np.power sum: up to 2^54 such terms keep every bit and stay finite.
@@ -575,24 +542,26 @@ class _Sums:
             self.beta = self.beta[keep]
 
     def log(self, a) -> _Scaled:
-        return self(a, np.log2(self.p))
+        return self(a, f=np.log2(self.p))
 
-    def __call__(self, a, f=1.0) -> _Scaled:
+    def __call__(self, a, b=None, f=1.0) -> _Scaled:
         # imported here: its decimal import would slow every CLI start
         from fractions import Fraction
         # log2 0 = -inf at a tilted rule's zeros of p, and a term past the
         # double range falls to 2^-inf: each the exact limit
         with np.errstate(over="ignore", divide="ignore"):
             x = np.log2(self.p)
-            if np.ndim(a) == 0:  # the largest term is at max p for a >= 0, at min p for a < 0
+            if b is None:  # the largest term is at max p for a >= 0, at min p for a < 0
                 x0 = float(np.maximum.reduce(x) if a >= 0.0 else np.minimum.reduce(x))
                 if x0 == -math.inf:  # a zero of p bounds the sum: the plain sum gives it
                     x0 = 0.0
                 top, g = Fraction(a) * Fraction(x0), a * (x - x0)
-            else:
-                g = a * x
-                top = Fraction(float(np.maximum.reduce(g)))
-                g -= float(top)
+            else:  # b_k log2 p_k is shifted by its largest before a log2 p_k joins it
+                g = b * x
+                g -= (gb := float(np.maximum.reduce(g)))
+                g += a * x
+                g -= (ga := float(np.maximum.reduce(g)))
+                top, a = Fraction(gb) + Fraction(ga), b + a
         if abs(top) <= 969:
             t, top = np.power(self.p, a), 0
         else:
@@ -612,7 +581,7 @@ _CLOSED_FORMS: dict[str, Callable] = {
     "aczel_daroczy_a": lambda S, q: -S.log(S.beta) / S(S.beta),
     "aczel_daroczy_b": lambda S, q: _log2(S(q.alpha) / S(S.beta)) / (S.beta - q.alpha),
     "kapur": _ESCORT_RATIO,
-    "rathie": _ESCORT_RATIO,
+    "rathie": lambda S, q: _log2(S(q.alpha - 1.0, S.beta) / S(0.0, S.beta)) / (1.0 - q.alpha),
     "khan_autar": _ESCORT_RATIO,
     "singh": lambda S, q: _log2(S(q.alpha * S.beta) / S(S.beta)) / (1.0 - q.alpha),
     "havrda_charvat": lambda S, q: (S(q.gamma) - 1.0) / _two_m1(q.gamma),
@@ -718,8 +687,8 @@ def dual_verify(
     if spec.family != "certainty" or spec.dual is None:
         raise ConstraintViolation(f"{name}: no information counterpart registered")
     ps = spec.check_params(params)
-    d, rule = spec._rule(dist, ps, weights, utilities)
-    w = resolve_log2_weights(d, rule)
+    d = as_distribution(dist)
+    w = spec.build_weights(d, ps, weights, utilities)
     info_name, info_params = spec.dual(ps)
     info_spec = lookup(info_name)
     info_pp = info_spec.engine_params(info_spec.check_params(info_params))

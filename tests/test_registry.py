@@ -6,6 +6,7 @@ import pytest
 from inforcer import (
     ConstraintViolation,
     LengthMismatch,
+    PolyParams,
     UnknownMeasure,
     WeightVector,
     dual_verify,
@@ -17,6 +18,8 @@ from inforcer import (
     reference_evaluate,
     resolve_weight_rule,
 )
+from inforcer import cli
+from inforcer.registry import MeasureSpec
 from _samplers import draw_params, random_simplex
 
 ALL_NAMES = [
@@ -184,6 +187,14 @@ class TestEachRuleEnforced:
     def test_every_rule_is_broken_somewhere(self):
         texts = {f"{lhs} {op} {rhs}" for s in list_measures() for lhs, op, rhs in s.rules}
         assert texts == set(_BREAKS)
+
+    def test_rule_naming_no_parameter_fails_when_built(self):
+        # a misspelt name would otherwise surface only at the first check, as a NameError
+        with pytest.raises(ValueError, match=r"^typo_row: rule 'alhpa > mu-1' names alhpa, not a parameter$"):
+            MeasureSpec(
+                "typo_row", "information", "self", ("alpha", "mu"), (("alhpa", ">", "mu-1"),),
+                "log2(sum p_k^alpha) / (1 - alpha)", lambda ps: PolyParams(-1.0, 1.0 - ps["alpha"]),
+            )
 
 
 class TestKnownValues:
@@ -382,3 +393,45 @@ class TestDualRegistrations:
     def test_dual_verify_rejects_row_without_counterpart_first(self, name, given):
         with pytest.raises(ConstraintViolation, match=rf"^{name}: no information counterpart registered$"):
             dual_verify(name, make_distribution([0.5, 0.5]), **given)
+
+
+class TestOneResolver:
+    """MeasureSpec.build_weights resolves a row's weights on every route:
+    once per evaluation, and in a sweep once, or once per point where
+    the rule reads the swept parameter."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        real = MeasureSpec.build_weights
+
+        def counted(spec, *args, **kwargs):
+            made.append(spec.name)
+            return real(spec, *args, **kwargs)
+
+        monkeypatch.setattr(MeasureSpec, "build_weights", counted)
+        return made
+
+    P = "0.1,0.2,0.3,0.4"
+
+    @pytest.mark.parametrize("route, want", [
+        (lambda p: evaluate_named("kapur", p, alpha=2.0, beta=0.5), 1),
+        (lambda p: dual_verify("bhatia_a", p, beta=0.5, tau=1.0), 1),
+        (lambda p: evaluate_named("kapur", p, beta=0.5, sweep=("alpha", [0.5, 2.0, 3.0])), 1),
+        (lambda p: evaluate_named("kapur", p, alpha=2.0, sweep=("beta", [0.5, 2.0, 3.0])), 3),
+    ], ids=["evaluate", "dual", "sweep-unread", "sweep-read"])
+    def test_library(self, calls, route, want):
+        route(make_distribution([0.1, 0.2, 0.3, 0.4]))
+        assert len(calls) == want
+
+    @pytest.mark.parametrize("argv, want", [
+        (["compute", "--measure", "kapur", "--alpha", "2", "--beta", "0.5", "--p", P], 1),
+        (["dual", "--measure", "bhatia_a", "--beta", "0.5", "--tau", "1", "--p", P], 1),
+        (["verify", "--measure", "kapur", "--alpha", "2", "--beta", "0.5", "--p", P, "--q", "0.5,0.5"], 2),
+        (["sweep", "--measure", "kapur", "--beta", "0.5", "--param", "alpha", "--grid", "0.5,2,3", "--p", P], 1),
+        (["sweep", "--measure", "kapur", "--alpha", "2", "--param", "beta", "--grid", "0.5,2,3", "--p", P], 3),
+    ], ids=["compute", "dual", "verify", "sweep-unread", "sweep-read"])
+    def test_cli(self, calls, capsys, argv, want):
+        assert cli.run(argv) == 0
+        capsys.readouterr()
+        assert calls == ["kapur" if "kapur" in argv else "bhatia_a"] * want

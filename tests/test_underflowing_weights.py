@@ -94,9 +94,11 @@ def test_escort_exponents_of_both_signs_that_span_past_the_double_range(b):
     # -inf, the exact limit 2^-inf = 0. The beta = -b entry dominates
     # both sums, so the value is log2(p_2^(alpha - 1)) / (1 - alpha) =
     # 1000. Judged by hand: at 60 digits the oracle's 2^(+-1.6e308)
-    # lose their exponent and it gives 0.
+    # lose their exponent and it gives 0. The closed form keeps alpha - 1
+    # apart from beta_k, to which alpha + beta_k - 1 would round.
     p, betas = [2.0**-1000, 2.0**-1000, 1 - 2.0**-999], [b, -b, 1.0]
     assert evaluate_named("rathie", p, alpha=2.0, betas=betas) == 1000.0
+    assert reference_evaluate("rathie", p, alpha=2.0, betas=betas) == 1000.0
     assert escort_weights(p, betas).values.tolist() == [0.0, 1.0, 0.0]
 
 
