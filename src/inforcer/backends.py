@@ -6,9 +6,21 @@ partial that the engine combines exactly (math.fsum, and a max shift
 for the log-sum-exps), so a vector of one block gets the kernel's own
 result. The block size is a fixed constant, not a setting.
 
+A block's sum takes one of two compositions of these kernels, chosen
+by engine._walk from the block's magnitudes:
+- the log-sum-exp, weighted_log2_sumexp over log2 weights, for self
+  weights at tau*lambda != 1, escort rules, and any block whose linear
+  sum leaves [2^-969, 2^969];
+- the linear sum sum_k w_k p_k^a over weights w as they are:
+  weighted_sum(w, p) alone at a = 1, and else shifted_exp2_weights(a *
+  log2 p) then weighted_sum(w, .), which needs no log2 of w.
+shifted_exp2_weights also gives a rule's log-sum-exp denominator, and
+weighted_sum the lambda = 0 mean.
+
 Callers reach the kernels through active_kernels() rather than by
 name. That one call is the seam a tracer swaps out to time each kernel
-inside real operations, without touching the callers.
+inside real operations, without touching the callers; every per-entry
+exp2 the engine takes runs in a kernel here.
 
 Kernels assume validated input: 1-d float64 arrays, no NaNs, weights
 already restricted to their active (nonzero) support. Each writes its

@@ -213,20 +213,24 @@ def _exponent_guard(b_abs: float):
     return _NO_GUARD if b_abs <= SAFE_EXPONENT else np.errstate(over="ignore")
 
 
-def _normalized_exp2(t: np.ndarray, rule: Log2Weights) -> WeightVector:
-    # -inf exponents are fine (they encode p_k^beta = 0); nan and +inf are
-    # not. nan propagates through max, so the max alone tells all three
-    # apart. With a finite max the max-shifted weights are finite: the
-    # largest term is 2^0 and the normalizer lies in [1, n]. A max of -inf
-    # needs every positive p_k, whose log2 is finite, to have had its
-    # beta*log2(p_k) overflow.
-    top = float(np.maximum.reduce(t))
+def check_exponent_top(top: float, kind: str, b, b_abs: float) -> None:
+    """Raise the error of weights 2^t whose largest exponent t_k is top,
+    t_k = b_k*log2(p_k) (+ log2 v_k): -inf exponents are fine (they
+    encode p_k^beta = 0); nan and +inf are not. nan propagates through
+    max, so the max alone tells all three apart. A max of -inf needs
+    every positive p_k, whose log2 is finite, to have had its
+    beta*log2(p_k) overflow."""
     if math.isnan(top) or top == math.inf:
-        raise DegenerateWeights(f"{rule.kind} weights: exponent left the representable range")
+        raise DegenerateWeights(f"{kind} weights: exponent left the representable range")
     if top == -math.inf:
-        b = rule.beta
-        what = f"beta = {b!r} is" if type(b) is float else f"betas up to {rule.beta_abs!r} are"
+        what = f"beta = {b!r} is" if type(b) is float else f"betas up to {b_abs!r} are"
         raise Overflow(f"{what} too large: beta*log2(p) leaves the double range")
+
+
+def _normalized_exp2(t: np.ndarray, rule: Log2Weights) -> WeightVector:
+    # With a finite largest exponent the max-shifted weights are finite:
+    # the largest term is 2^0 and the normalizer lies in [1, n].
+    check_exponent_top(float(np.maximum.reduce(t)), rule.kind, rule.beta, rule.beta_abs)
     with _exponent_guard(rule.spread):
         total = backends.active_kernels().shifted_exp2_weights(t, t)[1]
     t /= total

@@ -7,9 +7,9 @@ elementary exponents:
     X(U, P) = (1/lambda) * log2( sum_k u_k * p_k^(tau*lambda) )   else
 
 with tau < 0, weights U on the simplex, and the convention that a zero
-weight annihilates its term no matter what p_k is. The lambda != 0 sum
-runs in the log2 domain with a max shift, so exponents tau*lambda*log2(p)
-of hundreds are exact to working precision instead of overflowing.
+weight annihilates its term no matter what p_k is. Every lambda != 0
+sum is taken with a max shift, so exponents tau*lambda*log2(p) of
+hundreds are exact to working precision instead of overflowing.
 
 The mean is one pass over memory: _walk, the one place that produces
 its blocks, goes over the support in blocks of _BLOCK entries and takes
@@ -23,12 +23,29 @@ Gimelshein, arXiv:1805.02867), so a vector of one block gets its
 kernel's own result. Escort, utility and tilted rules come as
 core.Log2Weights where core.resolve_log2_weights finds that their log2
 weights g can stand for them. Their mean is a ratio of two sums over
-2^g, taken wholly in the log2 domain, so no weight is built, divided
-or lost to underflow. _BLOCK is a constant, not a setting.
+2^g, so no weight is built, divided or lost to underflow. _BLOCK is a
+constant, not a setting.
 verify_composability walks a product P*Q (and U*V) of several blocks
 the same way (_Product): each block is written once from the two
 factors, as fl(p_i * q_j) in the built product's block partition, and
 summed as it is written.
+
+Which kernel a block's sum takes is chosen in _walk alone. At n = 10^6
+the per-entry log2 and exp2 are the cost, not the passes over memory,
+so where weights enter the sum as they are (external weights, the
+utilities of a utility rule, the u of a tilted rule, and self weights
+at tau*lambda = 1) the block's sum is linear, sum_k w_k p_k^a. Past
+one block that takes one exp2 per entry and no log2 of w, and at a = 1
+(a tilted rule's sum_k u_k p_k) neither; on a vector of one block only
+self and external weights at tau*lambda = 1 take it (onicescu, renyi at
+alpha = 2), where the walk then takes no log2 at all. It is kept where
+it lies in [2^-969, 2^969], the range registry._Sums keeps a plain sum
+in: no term overflows there, and terms that underflow cost under 2^-90
+of it (the max-shift argument of Blanchard, Higham & Higham, IMA J.
+Numer. Anal. 41, 2021). Any other block is redone as a log-sum-exp over
+the log2 weights, which every other sum takes: self weights at any
+other r and escort rules, whose linear form costs the same exp2, and
+lambda = 0.
 
 A family name and its (tau, lambda, c, e) resolve once, through
 MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
@@ -276,21 +293,93 @@ class _Product:
         check_sum(math.fsum(self._sums), what)
 
 
+# A linear block sum is kept where it lies in [_TINY, _HUGE], as
+# registry._Sums keeps a plain sum: no term then overflows, and up to
+# 2^15 terms that underflow, each off by at most 2^-1074 (times the
+# largest utility, which scales _TINY for a utility rule), cost under
+# 2^-90 of it (the max-shift argument of Blanchard, Higham & Higham).
+_TINY, _HUGE = 2.0**-969, 2.0**969
+
+
+def _plain_block(w, d, key, bufs, lo):
+    """(w, p) for the block of entries from lo: the weights a linear sum
+    takes as they are (external weights, d itself, utilities, or a
+    tilted rule's u; a _Product of d's shape for verify_composability)
+    and p. With key None, the block itself: a zero weight adds an exact
+    0 to the sum. Otherwise only the entries where key > 0 remain,
+    written into bufs[0] and bufs[1], because log2 p is -inf at a zero
+    of p: "u" keeps the nonzero weights and raises DomainError at a zero
+    of p among them, "p" the nonzero p, "up" the entries where both are
+    nonzero. None if no entry remains."""
+    if type(d) is _Product:
+        pb = d.block(lo)
+        wb = pb if w is d else w.block(lo)
+    else:
+        pb, wb = _span(d.values, lo), _span(w.values, lo)
+    if key is None:
+        return wb, pb
+    k = pb if key == "p" else wb if key == "u" else np.minimum(wb, pb, out=_head(bufs[1], pb.size))
+    idx = np.flatnonzero(k > 0.0)
+    if not idx.size:
+        return None
+    pb = _take(pb, idx, bufs[1])
+    if key == "u" and (pb <= 0.0).any():
+        raise DomainError("zero probability carries nonzero weight")
+    return _take(wb, idx, bufs[0]), pb
+
+
+def _linear_sum(kern, w, p, x, a: float, buf) -> tuple:
+    """(m, s) with sum_k w_k p_k^a = 2^m * s over one block: the plain
+    sum_k w_k p_k at a = 1, else sum_k w_k 2^(a x_k - m) with x = log2 p
+    and m = max_k a x_k, taken by the kernels, which run every exp2."""
+    t = _head(buf, p.size)
+    if a == 1.0:
+        return 0.0, kern.weighted_sum(w, p, t)
+    t = np.multiply(x, a, out=t)
+    m = kern.shifted_exp2_weights(t, t)[0]
+    return m, kern.weighted_sum(w, t, t)
+
+
+def _view_bufs(big: bool, scratch) -> tuple:
+    """The three buffers of _linear_block and _rule_block, the last the
+    walk's scratch."""
+    return (np.empty(_BLOCK), np.empty(_BLOCK), scratch) if big else (None, None, None)
+
+
 def _walk(weights, dist, rs) -> dict:
     """The inner mean over (weights, dist) at each exponent r = tau*lambda
     of rs: log2( sum_k u_k p_k^r ), or sum_k u_k log2 p_k for the key None
     (lambda = 0), which rs then holds alone. Per r, the float or the
     InforcerError its mean raised, as a walk at that r alone gives it; a
     check every r shares raises. Each block is produced once, through
-    three buffers allocated per call (numpy's own outputs for a vector of
-    one block), and every r's kernel step runs on it in turn. A rule's
-    mean is a ratio over its log2 weights g: log2 sum 2^(g + r log2 p) -
-    log2 sum 2^g, or sum 2^g log2 p / sum 2^g; per block, one
-    denominator partial serves every r."""
+    buffers of one block allocated per call (numpy's own outputs for a
+    vector of one block), and every r's kernel step runs on it in turn.
+    A rule's mean is a ratio over its log2 weights g: log2 sum 2^(g + r
+    log2 p) - log2 sum 2^g, or sum 2^g log2 p / sum 2^g; per block, one
+    denominator partial serves every r.
+
+    Each block's sum takes one of two kernels, chosen per block and r
+    from magnitudes and the vector's length, never from the other
+    points of rs, so a sweep's point gets its own call's bits:
+    - linear: sum_k w_k p_k^a over the block, with w the weights as they
+      are (external weights, a utility rule's v, a tilted rule's u, or
+      self weights at r = 1) and a = r, beta + r or 1 + r; a rule's
+      denominator is the same sum at a = beta or 1. At a = 1 it is a
+      product-sum, with no log2 or exp2; elsewhere _linear_sum takes it
+      with one exp2 and no log2 of w. A vector of one block takes it
+      only at r = 1 of self or external weights. The partial is kept
+      where it lies in [_TINY, _HUGE] (_TINY times the largest utility);
+      any other block is redone:
+    - log-sum-exp over the log2 weights (_linear_block, _rule_block):
+      self weights at r != 1, escort rules, lambda = 0, |r| or |beta|
+      near SAFE_EXPONENT, utilities past 2^969, and each block that the
+      linear sum refused.
+    """
     lam0 = rs[0] is None
     rule = type(weights) is Log2Weights
     if type(dist) is _Product:
         d, n = dist, dist.size  # weights are a _Product of the same shape
+        same = weights is d
     else:
         d = as_distribution(dist)
         n = d.values.size
@@ -298,60 +387,145 @@ def _walk(weights, dist, rs) -> dict:
             # a Distribution carries values and _positive as a WeightVector does
             weights = weights if type(weights) is Distribution else as_weight_vector(weights)
             check_length(weights.values, d.values, "weights")
+        same = not rule and weights.values is d.values
     if not rule and weights._positive and not d._positive:
         raise DomainError("zero probability carries nonzero weight")
-    # a vector of one block reuses nothing, so numpy allocates its arrays
-    bufs = np.empty((3, _BLOCK)) if n > _BLOCK else (None, None, None)
     step = _rule_block if rule else _linear_block
+    beta_abs = weights.beta_abs if rule else 0.0
     # a rule's kernel exponents (g - m) + r log2 p span (2|r| + 4|beta|) *
     # 1074 and a little more: past SAFE_EXPONENT a term may fall to 2^-inf
-    wide = rule and not lam0 and 2.0 * max(map(abs, rs)) + 4.0 * weights.beta_abs > SAFE_EXPONENT
+    wide = rule and not lam0 and 2.0 * max(map(abs, rs)) + 4.0 * beta_abs > SAFE_EXPONENT
     # g itself spans past SAFE_EXPONENT only for escort exponents of both
     # signs; g - max g then falls to -inf, whose 2^-inf = 0 is exact
     wide_g = rule and weights.spread > SAFE_EXPONENT
+    big = n > _BLOCK
+    # Per r, the exponent a = b + r of its linear sum sum_k w_k p_k^a, or
+    # None for the log-sum-exp; w enters as it is. At a = 1 the sum is a
+    # product-sum. Elsewhere it costs an exp2 and one pass more than the
+    # log-sum-exp and saves the log2 of w, which pays only past one
+    # block, and never for self weights, whose log2 is log2 p. So lambda
+    # = 0 and escort rules take none, self weights take one only at r = 1,
+    # and a vector of one block only at r = 1 of self or external weights,
+    # where the walk then needs no log2 at all.
+    routes = None
+    if not (lam0 or (rule and weights.kind == "escort")) and (big and not same or not rule and 1.0 in rs):
+        lin = weights.extra if rule else weights
+        b = (1.0 if weights.beta is None else weights.beta) if rule else 0.0
+        routes = [b + r if (b + r == 1.0 or (big and not same)) and 2.0 * abs(r) + 4.0 * beta_abs <= SAFE_EXPONENT
+                  else None for r in rs]
+        den_lin = rule
+        floor = _TINY
+        if not (den_lin or routes.count(None) < len(rs)):
+            routes = None
+        elif rule and weights.kind == "utility":
+            # an exp2 that underflows is off by 2^-1074 times its utility
+            floor *= max(1.0, float(np.maximum.reduce(lin.values)))
+            if floor > 1.0:  # past 2^969 a block's sum could overflow
+                routes = None
+    key = None
+    if routes is None:
+        live = [(r, [], None) for r in rs]
+        linear = den_lin = need_x = False
+        view_first = True
+    else:
+        live = [(r, [], a) for r, a in zip(rs, routes)]
+        linear, view_first = True, None in routes
+        need_x = (den_lin and b != 1.0) or routes.count(None) + routes.count(1.0) < len(rs)
+        if not (d._positive or same):  # log2 p = -inf at a zero of p
+            key = "u" if not rule else "up" if weights.beta is None else "p"
+    # One array per call holds every buffer of one block the walk uses: the
+    # log-sum-exp's two, the scratch, and the linear sum's masked w and p
+    # and its log2 p; allocated apart, they made a 10^6-entry verify walk
+    # about 5 % slower. A vector of one block reuses nothing, so numpy
+    # allocates its arrays.
+    scratch = vbufs = None
+    lbufs = (None,) * 3
+    if big:
+        k = 2 if view_first else 0
+        bufs = np.empty((k + 1 + (3 if key else 1 if need_x else 0), _BLOCK))
+        scratch, lbufs = bufs[k], bufs[k + 1:]
+        if view_first:
+            vbufs = bufs[0], bufs[1], scratch
+    elif view_first:
+        vbufs = lbufs
     kern = backends.active_kernels()
-    scratch = bufs[2]
     out = {}
-    # (r, block partials) of each mean that still runs, and a rule's
-    # denominator partials (m, s)
-    live = [(r, []) for r in rs]
-    dens = []
+    dens = []  # a rule's denominator partials (m, s)
     for lo in range(0, n, _BLOCK):
         if not live:
             break
+        view = tv = None  # the block's log2 view, and its kernels' output
         try:
-            block = step(weights, d, lam0, bufs, lo)
+            if linear:
+                block = _plain_block(lin, d, key, lbufs, lo)
+                if block is None:
+                    continue
+                ub, pb = block
+                x = np.log2(pb, out=_head(lbufs[-1], pb.size)) if need_x else None
+            if view_first:
+                view = step(weights, d, lam0, vbufs, lo)
+                if view is None:
+                    continue
         except InforcerError as err:
-            for r, _ in live:
+            for r, _, _ in live:
                 out[r] = err
             return out
-        if block is None:
-            continue
-        u, x, log2u = block
-        t = np.empty(x.size) if rule and scratch is None else _head(scratch, x.size)
-        if rule:  # 2^(g - m) into t, and the numerator's g shifted the same
-            with np.errstate(over="ignore") if wide_g else _NO_GUARD:
-                dens.append(kern.shifted_exp2_weights(log2u, t))
-                if not lam0:
-                    log2u -= dens[-1][0]
-            u = t
+        if rule:
+            den = None
+            if den_lin:
+                den = _linear_sum(kern, ub, pb, x, b, scratch)
+            if den is None or not floor <= den[1] <= _HUGE:
+                if view is None:
+                    vbufs = vbufs or _view_bufs(big, scratch)
+                    view = step(weights, d, lam0, vbufs, lo)
+                    if view is None:
+                        continue
+                g = view[2]
+                tv = _head(scratch, g.size) if big else np.empty(g.size)
+                with np.errstate(over="ignore") if wide_g else _NO_GUARD:
+                    den = kern.shifted_exp2_weights(g, tv)
+                    if not lam0:  # the numerator's g, shifted as the denominator
+                        g -= den[0]
+                if lam0:  # 2^(g - m): the weights of the lambda = 0 mean
+                    view = tv, view[1], g
+            elif view is not None:  # built for a log-sum-exp route
+                g = view[2]
+                g -= den[0]
+            dens.append(den)
         for mean in tuple(live):
-            r, parts = mean
+            r, parts, a = mean
+            if a is not None:
+                m, s = _linear_sum(kern, ub, pb, x, a, scratch)
+                if floor <= s <= _HUGE:
+                    parts.append((m - den[0], s) if rule else (m, s))
+                    continue
+                if view is None:  # redo the block as a log-sum-exp
+                    vbufs = vbufs or _view_bufs(big, scratch)
+                    view = step(weights, d, lam0, vbufs, lo)
+                    if view is None:
+                        continue
+                    if rule:
+                        g = view[2]
+                        g -= den[0]
+            u, xv, g = view
+            if tv is None:  # a rule's block of one vector allocates once for every r
+                tv = _head(scratch, xv.size) if big or not rule else np.empty(xv.size)
+            t = tv
             if lam0:
-                parts.append(kern.weighted_sum(u, x, t))
+                parts.append(kern.weighted_sum(u, xv, t))
             # r * log2 p can overflow only past SAFE_EXPONENT, and the
             # most negative log2 p gives the largest |r * log2 p|
-            elif abs(r) > SAFE_EXPONENT and math.isinf(r * float(np.minimum.reduce(x))):
+            elif abs(r) > SAFE_EXPONENT and math.isinf(r * float(np.minimum.reduce(xv))):
                 out[r] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
                 live.remove(mean)
             elif not wide:
-                parts.append(kern.weighted_log2_sumexp(x if log2u is None else log2u, x, r, t))
+                parts.append(kern.weighted_log2_sumexp(xv if g is None else g, xv, r, t))
             else:
                 with np.errstate(over="ignore"):
-                    parts.append(kern.weighted_log2_sumexp(log2u, x, r, t))
+                    parts.append(kern.weighted_log2_sumexp(g, xv, r, t))
     # the denominator: a rule's total weight 2^top * total; other weights sum to 1
     top, total = _shifted_sum(dens) if dens else (0.0, 1.0)
-    for r, parts in live:
+    for r, parts, _ in live:
         if not parts:
             out[r] = DegenerateWeights("all weights are zero")
         elif lam0:

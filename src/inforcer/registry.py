@@ -39,6 +39,7 @@ from .core import (
     as_distribution,
     as_utility_vector,
     as_weight_vector,
+    check_exponent_top,
     check_length,
     resolve_log2_weights,
 )
@@ -539,6 +540,7 @@ class _Sums:
         self.beta = next((ps[a] for a in spec._reads if a in ps), None)
         if type(self.beta) is np.ndarray:
             check_length(self.beta, p, "escort exponent")
+            self.beta_abs = float(np.maximum.reduce(np.abs(self.beta)))
             self.beta = self.beta[keep]
 
     def log(self, a) -> _Scaled:
@@ -558,7 +560,9 @@ class _Sums:
                 top, g = Fraction(a) * Fraction(x0), a * (x - x0)
             else:  # b_k log2 p_k is shifted by its largest before a log2 p_k joins it
                 g = b * x
-                g -= (gb := float(np.maximum.reduce(g)))
+                # past the double range, the error the engine's escort weights raise
+                check_exponent_top(gb := float(np.maximum.reduce(g)), "escort", b, self.beta_abs)
+                g -= gb
                 g += a * x
                 g -= (ga := float(np.maximum.reduce(g)))
                 top, a = Fraction(gb) + Fraction(ga), b + a

@@ -26,7 +26,7 @@ from inforcer import (
     quasi_mean_exponent,
     verify_composability,
 )
-from inforcer import backends
+from inforcer import backends, engine
 
 FAIR = make_distribution([0.5, 0.5])
 FAIR_W = WeightVector([0.5, 0.5])
@@ -57,6 +57,62 @@ class TestLambdaSwitch:
         want = (m + float(np.log2(s))) / lam
         assert quasi_mean_exponent(self.U, self.P, -1.3, lam) == want
         assert calls == [-1.3 * lam]
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        """(kernel name, r or None) of each log-sum-exp and exp2 step from now on."""
+        kernels = backends.active_kernels()
+        calls = []
+
+        def log2_sumexp(log2u, log2p, r, out):
+            calls.append(("weighted_log2_sumexp", r))
+            return kernels.weighted_log2_sumexp(log2u, log2p, r, out)
+
+        def exp2_weights(t, out):
+            calls.append(("shifted_exp2_weights", None))
+            return kernels.shifted_exp2_weights(t, out)
+
+        monkeypatch.setattr(backends, "active_kernels", lambda: dataclasses.replace(
+            kernels, weighted_log2_sumexp=log2_sumexp, shifted_exp2_weights=exp2_weights))
+        return calls
+
+    @staticmethod
+    def _blocks(p, u):
+        """A vector of three blocks, the last ragged, and its blocks."""
+        b = engine._BLOCK
+        return [(p[lo:lo + b], u[lo:lo + b]) for lo in range(0, p.size, b)]
+
+    def test_above_switch_past_one_block_takes_the_linear_sum(self, monkeypatch):
+        # past one block, lambda = 1.1e-8 takes each block's linear sum
+        # sum_k u_k 2^(r log2 p_k - m) at r = -1.3 * lambda, m = max r log2 p
+        n = 2 * engine._BLOCK + 17
+        p, u = (np.resize(w.values, n) / math.fsum(np.resize(w.values, n)) for w in (self.P, self.U))
+        kernels = backends.active_kernels()
+        lam = 1.1e-8
+        parts = []
+        for pb, ub in self._blocks(p, u):
+            t = np.log2(pb) * (-1.3 * lam)
+            m = kernels.shifted_exp2_weights(t, t)[0]
+            parts.append((m, kernels.weighted_sum(ub, t, t)))
+        m, s = engine._shifted_sum(parts)
+        calls = self._spy(monkeypatch)
+        assert quasi_mean_exponent(WeightVector(u), make_distribution(p), -1.3, lam) == (m + float(np.log2(s))) / lam
+        assert calls == [("shifted_exp2_weights", None)] * 3
+
+    def test_magnitudes_past_the_linear_range_use_log_sum_exp(self, monkeypatch):
+        # in each block u_k = 1e-300 carries the largest p_k^r = 2^1300, and
+        # every other term underflows: each block's linear sum is about
+        # 1e-300, under 2^-969, and the block is redone
+        n = 2 * engine._BLOCK + 17
+        tiny = np.arange(0, n, engine._BLOCK)
+        p, u = np.full(n, (1 - 3 * 2.0**-1000) / (n - 3)), np.full(n, (1 - 3e-300) / (n - 3))
+        p[tiny], u[tiny] = 2.0**-1000, 1e-300
+        kernels = backends.active_kernels()
+        m, s = engine._shifted_sum([kernels.weighted_log2_sumexp(np.log2(ub), np.log2(pb), -1.3, None)
+                                    for pb, ub in self._blocks(p, u)])
+        calls = self._spy(monkeypatch)
+        assert quasi_mean_exponent(WeightVector(u), make_distribution(p), -1.3, 1.0) == m + float(np.log2(s))
+        assert calls == [("shifted_exp2_weights", None), ("weighted_log2_sumexp", -1.3)] * 3
 
     def test_non_finite_lambda_rejected(self):
         # lambda = (gamma - 1) / gamma overflows to -inf for arimoto at gamma = 1e-320
