@@ -47,6 +47,20 @@ the log2 weights, which every other sum takes: self weights at any
 other r and escort rules, whose linear form costs the same exp2, and
 lambda = 0.
 
+A walk at one exponent over several blocks (not a sweep's, nor a
+_Product's) runs on two workers where this process may use two CPUs:
+the calling thread takes the first half of the blocks, and one daemon
+thread, started by the first such walk, the rest; numpy releases the
+GIL inside each step. Every block's partial is the one a single worker
+takes, and the halves join in block order before the exact combination
+above, so every value is the same bit for bit. A share that meets an
+error, or raises, makes the walk run again on one worker, which gives
+the first error in block order. Both workers' rows of one block lie in
+the one array a walk allocates, and a route splits only where a worker
+needs at most two blocks, its rows and a masked block's gather index
+counted together: a split walk holds four blocks at most, the budget of
+a walk on one worker. There is no setting.
+
 A family name and its (tau, lambda, c, e) resolve once, through
 MeasureParams.of, to one (tau, lambda, h): information and inaccuracy
 take (2^(c*x)-1)/e (e = 0 meaning the linear x itself), certainty takes
@@ -56,7 +70,10 @@ wrappers over inforcer_measure().
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,6 +177,18 @@ def _head(buf: np.ndarray | None, k: int) -> np.ndarray | None:
     return buf if buf is None or k == buf.size else buf[:k]
 
 
+def _support(a: np.ndarray, buf) -> np.ndarray:
+    """The indices of a's nonzero entries, its mask written over buf's
+    bytes when buf is given."""
+    return np.flatnonzero(np.greater(a, 0.0, out=None if buf is None else buf.view(np.bool_)[:a.size]))
+
+
+def _spare(idx: np.ndarray):
+    """A gather's index, dead once gathered, as a float64 buffer of its
+    length; None where an index is not 8 bytes."""
+    return idx.view(np.float64) if idx.itemsize == 8 else None
+
+
 def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """a[idx] written into buf. A gather by index runs several times
     faster than np.compress on a scattered mask; mode="clip" spares the
@@ -167,16 +196,21 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.take(a, idx, out=_head(buf, idx.size), mode="clip")
 
 
-def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
-    """[u, log2 p, log2 u] for the block of entries from lo, on the
-    support of weights w that sum to 1 over all blocks together, written
-    into bufs[0] and bufs[1]; None if no entry of the block is active.
-    u is None at lambda != 0; log2 u is None at lambda = 0 and for self
-    weights, whose log2 u is log2 p. w and d are validated vectors, or
-    both _Product, whose block is written into its own buffer first.
+def _linear_block(w, d, lam0: bool, bufs, lo: int):
+    """[u, log2 p, log2 u, spare] for the block of entries from lo, on
+    the support of weights w that sum to 1 over all blocks together,
+    written into bufs[0] and bufs[1]; None if no entry of the block is
+    active. u is None at lambda != 0; log2 u is None at lambda = 0 and
+    for self weights, whose log2 u is log2 p (their bufs[0] is bufs[1] at
+    lambda != 0, so log2 p is taken in place over the gathered p). w and
+    d are validated vectors, or both _Product, whose block is written
+    into its own buffer first.
 
     Zero weights are masked out, except at lambda = 0 over a strictly
-    positive p, where 0 * log2 p is exactly 0.
+    positive p, where 0 * log2 p is exactly 0. The gather's index, dead
+    once gathered, is a buffer of the block's length: log2 p goes there
+    when bufs[1] is None, and else it is returned as spare (None when
+    there is none).
     """
     if type(d) is _Product:
         same = w is d
@@ -186,8 +220,9 @@ def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
         u, p = w.values, d.values
         same = u is p
         ub, pb = (u, p) if p.size <= _BLOCK else (u[lo:lo + _BLOCK], p[lo:lo + _BLOCK])
+    spare = None
     if not (d._positive and (lam0 or w._positive)):
-        idx = np.flatnonzero(ub > 0.0)
+        idx = _support(ub, bufs[0])
         if not idx.size:
             return None
         ub = _take(ub, idx, bufs[0])
@@ -195,19 +230,25 @@ def _linear_block(w, d, lam0: bool, bufs: np.ndarray, lo: int):
         # self weights: the mask above left no zero of p
         if not (same or d._positive) and (pb <= 0.0).any():
             raise DomainError("zero probability carries nonzero weight")
-    x = np.log2(pb, out=_head(bufs[1], pb.size))
+        spare = _spare(idx)
+    out = _head(bufs[1], pb.size)
+    if out is None and spare is not None:
+        out, spare = spare, None
+    x = np.log2(pb, out=out)
     if lam0 or same:
-        return ub if lam0 else None, x, None
-    return None, x, np.log2(ub, out=_head(bufs[0], ub.size))
+        return ub if lam0 else None, x, None, spare
+    return None, x, np.log2(ub, out=_head(bufs[0], ub.size)), spare
 
 
-def _rule_block(w: Log2Weights, d: Distribution, lam0: bool, bufs: np.ndarray, lo: int):
-    """[None, log2 p, g] for the block of entries from lo, g the
+def _rule_block(w: Log2Weights, d: Distribution, lam0: bool, bufs, lo: int):
+    """[None, log2 p, g, None] for the block of entries from lo, g the
     unnormalized log2 weights of rule w over d (core.Log2Weights), in
-    bufs[1] and bufs[0] with bufs[2] as scratch; None if no entry of the
-    block has weight. Only exact zeros of weight are masked out, so no g
-    is -inf: the zeros of p (beta is > 0 there, see
-    Log2Weights.in_log2_domain), and those of a tilted rule's u.
+    bufs[1] and bufs[0]; bufs[2] is scratch for a utility rule's log2 v,
+    and None for other rules. None if no entry of the block has weight.
+    Only exact zeros of weight are masked out, so no g is -inf: the zeros
+    of p (beta is > 0 there, see Log2Weights.in_log2_domain), and those
+    of a tilted rule's u. An escort rule of one beta with bufs[0] None
+    writes g over the gather's index, dead once gathered.
     """
     ubuf, xbuf, tbuf = bufs
     beta, v = w.beta, w.extra  # v: the utilities, or a tilted rule's u
@@ -215,11 +256,11 @@ def _rule_block(w: Log2Weights, d: Distribution, lam0: bool, bufs: np.ndarray, l
     vb = None if v is None else _span(v.values, lo)
     if v is None or v._positive:
         keep = None if d._positive else pb
-    else:
-        keep = vb if d._positive else np.minimum(vb, pb, out=_head(tbuf, pb.size))
+    else:  # the gathers below overwrite it
+        keep = vb if d._positive else np.minimum(vb, pb, out=_head(ubuf, pb.size))
     idx = None
     if keep is not None:
-        idx = np.flatnonzero(keep > 0.0)
+        idx = _support(keep, xbuf)
         if not idx.size:
             return None
         pb = _take(pb, idx, xbuf)
@@ -228,13 +269,15 @@ def _rule_block(w: Log2Weights, d: Distribution, lam0: bool, bufs: np.ndarray, l
     if beta is None:  # tilted: log2 u + log2 p, never log2(u * p), which underflows
         g = np.log2(vb if idx is None else _take(vb, idx, ubuf), out=_head(ubuf, k))
         g += x
-        return None, x, g
-    if type(beta) is not float:  # one exponent per entry
-        beta = _span(beta, lo) if idx is None else _take(_span(beta, lo), idx, tbuf)
+        return None, x, g, None
+    if type(beta) is not float:  # one exponent per entry, multiplied in place
+        beta = _span(beta, lo) if idx is None else _take(_span(beta, lo), idx, ubuf)
+    elif ubuf is None and idx is not None and v is None:
+        ubuf = _spare(idx)
     g = np.multiply(x, beta, out=_head(ubuf, k))
     if v is not None:
         g += np.log2(vb if idx is None else _take(vb, idx, tbuf), out=_head(tbuf, k))
-    return None, x, g
+    return None, x, g, None
 
 
 def _shifted_sum(parts) -> tuple:
@@ -319,7 +362,7 @@ def _plain_block(w, d, key, bufs, lo):
     if key is None:
         return wb, pb
     k = pb if key == "p" else wb if key == "u" else np.minimum(wb, pb, out=_head(bufs[1], pb.size))
-    idx = np.flatnonzero(k > 0.0)
+    idx = _support(k, bufs[0])
     if not idx.size:
         return None
     pb = _take(pb, idx, bufs[1])
@@ -340,10 +383,207 @@ def _linear_sum(kern, w, p, x, a: float, buf) -> tuple:
     return m, kern.weighted_sum(w, t, t)
 
 
-def _view_bufs(big: bool, scratch) -> tuple:
-    """The three buffers of _linear_block and _rule_block, the last the
-    walk's scratch."""
-    return (np.empty(_BLOCK), np.empty(_BLOCK), scratch) if big else (None, None, None)
+def _redo_rows(vbufs, st, big: bool) -> tuple:
+    """(vbufs, st) for the log2 view of a block the linear sum refused:
+    three rows of the worker's own where the walk allocated the view none
+    (numpy allocates for a vector of one block)."""
+    if not big or vbufs[1] is not None:
+        return vbufs, st
+    rows = tuple(np.empty((3, _BLOCK)))
+    return rows, rows[2]
+
+
+def _rows(names, workers: int) -> list:
+    """Per worker, a row of one block for each role's name, or None for
+    None: roles of one name share a row, and one array per call holds
+    every worker's rows. Allocated apart, the rows made a 10^6-entry
+    verify walk about 5 % slower; allocated per thread, they overlap in
+    time or not, so a walk's peak memory would vary from call to call."""
+    distinct = list(dict.fromkeys(filter(None, names)))
+    return [tuple(None if name is None else rows[distinct.index(name)] for name in names)
+            for rows in np.empty((workers, len(distinct), _BLOCK))]
+
+
+# Workers of a walk: 2 where this process may run on 2 CPUs. The second
+# is one daemon thread, started by the first walk that splits.
+_WORKERS = 2 if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2 else 1
+
+
+class _Worker:
+    """A daemon thread that runs one share of a walk at a time: hand()
+    gives it a function to run under the caller's context (np.errstate
+    lives there), wait() returns the function's result, or None if it
+    raised; the caller then walks again on one worker, which raises the
+    error itself. A worker that is dropped ends after its job. Starting
+    a thread per walk instead cost about 130 us a walk on a 2-vCPU VM,
+    as much as the whole of a walk of two blocks."""
+
+    def __init__(self) -> None:
+        self._todo, self._done = threading.Lock(), threading.Lock()
+        self._todo.acquire()
+        self._done.acquire()
+        self._job = self._result = None
+        self.dropped = False
+        self.thread = threading.Thread(target=self._serve, name="inforcer-walk", daemon=True)
+        self.thread.start()
+
+    def hand(self, fn, *args) -> None:
+        self._job = contextvars.copy_context(), fn, args
+        self._todo.release()
+
+    def wait(self):
+        self._done.acquire()
+        result, self._result = self._result, None
+        return result
+
+    def _serve(self) -> None:
+        while not self.dropped:
+            self._todo.acquire()
+            ctx, fn, args = self._job
+            self._job = None
+            try:
+                self._result = ctx.run(fn, *args)
+            except Exception:  # reported as None; the walk on one worker raises it
+                self._result = None
+            finally:
+                self._done.release()
+
+
+_worker = None  # the idle worker; None before the first split and while a walk holds it
+_worker_lock = threading.Lock()  # held by the walk that uses _worker
+
+
+def _forget_worker() -> None:
+    """After a fork, in the child, which has no worker thread."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _split(plan, n: int, rows):
+    """_share's (out, live, dens) of plan over the blocks of n entries:
+    the first ceil(blocks / 2) on this thread and the rest on the worker
+    at once, joined in block order. None if another walk holds the
+    worker, or if either share raised or met an error: the caller then
+    walks again on one worker. A walk that is interrupted drops the
+    worker, which would otherwise leave its result for the next walk to
+    read as its own; the next walk starts another."""
+    global _worker
+    if not _worker_lock.acquire(blocking=False):
+        return None
+    try:
+        mid = (-(-n // _BLOCK) + 1) // 2 * _BLOCK
+        worker, _worker = _worker or _Worker(), None
+        try:
+            worker.hand(_share, plan, range(mid, n, _BLOCK), rows[1])
+            try:
+                first = _share(plan, range(0, mid, _BLOCK), rows[0])
+            except Exception:
+                first = None
+            second = worker.wait()
+        except BaseException:
+            worker.dropped = True
+            raise
+        _worker = worker
+    finally:
+        _worker_lock.release()
+    if first is None or second is None or first[0] or second[0]:
+        return None
+    (_, live, dens), (_, rest, more) = first, second
+    return {}, [(r, parts + later, a) for (r, parts, a), (_, later, _) in zip(live, rest)], dens + more
+
+
+def _share(plan, los, bufs) -> tuple:
+    """(out, live, dens) of a walk's plan (_walk) over the blocks from each
+    lo of los, through bufs, a worker's rows: the errors so far, each
+    live r's partials, and a rule's denominator partials (m, s)."""
+    (weights, d, rs, lam0, rule, step, kern, big, wide, wide_g, routes, lin, b, den_lin, floor,
+     key, linear, view_first, need_x, t_is_x) = plan
+    vu, vx, vt, st, lw, lp, lx, ls, lt = bufs
+    vbufs = vu, vx, vt
+    live = [(r, [], None) for r in rs] if routes is None else [(r, [], a) for r, a in zip(rs, routes)]
+    out, dens = {}, []
+    for lo in los:
+        if not live:
+            break
+        # the block's log2 view and its kernels' output; dropping the
+        # last block's frees a gather's index before the next is taken
+        view = tv = u = xv = g = spare = None
+        try:
+            if linear:
+                block = _plain_block(lin, d, key, (lw, lp), lo)
+                if block is None:
+                    continue
+                ub, pb = block
+                x = np.log2(pb, out=_head(lx, pb.size)) if need_x else None
+            if view_first:
+                view = step(weights, d, lam0, vbufs, lo)
+                if view is None:
+                    continue
+        except InforcerError as err:
+            for r, _, _ in live:
+                out[r] = err
+            return out, [], dens
+        if rule:
+            den = _linear_sum(kern, ub, pb, x, b, ls) if den_lin else None
+            if den is None or not floor <= den[1] <= _HUGE:
+                if view is None:
+                    vbufs, st = _redo_rows(vbufs, st, big)
+                    view = step(weights, d, lam0, vbufs, lo)
+                    if view is None:
+                        continue
+                g = view[2]
+                with np.errstate(over="ignore") if wide_g else _NO_GUARD:
+                    if lam0:  # g becomes 2^(g - m), the weights of the lambda = 0 mean
+                        den = kern.shifted_exp2_weights(g, g)
+                        view = g, view[1], g, None
+                    elif big:  # g - m now, and sum 2^(g - m) over g after the numerators: no row
+                        den = float(np.maximum.reduce(g)), None
+                        g -= den[0]
+                    else:
+                        tv = np.empty(g.size)  # one vector's block allocates once for every r
+                        den = kern.shifted_exp2_weights(g, tv)
+                        g -= den[0]
+            elif view is not None:  # built for a log-sum-exp route
+                g = view[2]
+                g -= den[0]
+            dens.append(den)
+        for mean in tuple(live):
+            r, parts, a = mean
+            if a is not None:
+                m, s = _linear_sum(kern, ub, pb, x, a, lt)
+                if floor <= s <= _HUGE:
+                    parts.append((m - den[0], s) if rule else (m, s))
+                    continue
+                if view is None:  # redo the block as a log-sum-exp
+                    vbufs, st = _redo_rows(vbufs, st, big)
+                    view = step(weights, d, lam0, vbufs, lo)
+                    if view is None:
+                        continue
+                    if rule:
+                        g = view[2]
+                        g -= den[0]
+            u, xv, g, spare = view
+            if tv is None:
+                tv = xv if t_is_x else spare if spare is not None else _head(st, xv.size)
+            if lam0:
+                parts.append(kern.weighted_sum(u, xv, tv))
+            # r * log2 p can overflow only past SAFE_EXPONENT, and the
+            # most negative log2 p gives the largest |r * log2 p|
+            elif abs(r) > SAFE_EXPONENT and math.isinf(r * float(np.minimum.reduce(xv))):
+                out[r] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
+                live.remove(mean)
+            elif not wide:
+                parts.append(kern.weighted_log2_sumexp(xv if g is None else g, xv, r, tv))
+            else:
+                with np.errstate(over="ignore"):
+                    parts.append(kern.weighted_log2_sumexp(g, xv, r, tv))
+        if rule and den[1] is None:  # g - m is left intact by the numerators
+            dens[-1] = den[0], kern.shifted_exp2_weights(g, g)[1]
+    return out, live, dens
 
 
 def _walk(weights, dist, rs) -> dict:
@@ -352,7 +592,7 @@ def _walk(weights, dist, rs) -> dict:
     (lambda = 0), which rs then holds alone. Per r, the float or the
     InforcerError its mean raised, as a walk at that r alone gives it; a
     check every r shares raises. Each block is produced once, through
-    buffers of one block allocated per call (numpy's own outputs for a
+    rows of one block allocated per call (numpy's own outputs for a
     vector of one block), and every r's kernel step runs on it in turn.
     A rule's mean is a ratio over its log2 weights g: log2 sum 2^(g + r
     log2 p) - log2 sum 2^g, or sum 2^g log2 p / sum 2^g; per block, one
@@ -369,11 +609,16 @@ def _walk(weights, dist, rs) -> dict:
       with one exp2 and no log2 of w. A vector of one block takes it
       only at r = 1 of self or external weights. The partial is kept
       where it lies in [_TINY, _HUGE] (_TINY times the largest utility);
-      any other block is redone:
+      any other block is redone, through rows of its own:
     - log-sum-exp over the log2 weights (_linear_block, _rule_block):
       self weights at r != 1, escort rules, lambda = 0, |r| or |beta|
       near SAFE_EXPONENT, utilities past 2^969, and each block that the
       linear sum refused.
+
+    The blocks run in _share. A walk at one r of several blocks, other
+    than a _Product's, runs on _WORKERS workers where each needs at most
+    two blocks, its rows and a gather's index (_split); its partials are
+    the same, joined in the same order.
     """
     lam0 = rs[0] is None
     rule = type(weights) is Log2Weights
@@ -399,6 +644,7 @@ def _walk(weights, dist, rs) -> dict:
     # signs; g - max g then falls to -inf, whose 2^-inf = 0 is exact
     wide_g = rule and weights.spread > SAFE_EXPONENT
     big = n > _BLOCK
+    single = len(rs) == 1
     # Per r, the exponent a = b + r of its linear sum sum_k w_k p_k^a, or
     # None for the log-sum-exp; w enters as it is. At a = 1 the sum is a
     # product-sum. Elsewhere it costs an exp2 and one pass more than the
@@ -407,7 +653,7 @@ def _walk(weights, dist, rs) -> dict:
     # = 0 and escort rules take none, self weights take one only at r = 1,
     # and a vector of one block only at r = 1 of self or external weights,
     # where the walk then needs no log2 at all.
-    routes = None
+    routes = lin = b = floor = None
     if not (lam0 or (rule and weights.kind == "escort")) and (big and not same or not rule and 1.0 in rs):
         lin = weights.extra if rule else weights
         b = (1.0 if weights.beta is None else weights.beta) if rule else 0.0
@@ -424,105 +670,57 @@ def _walk(weights, dist, rs) -> dict:
                 routes = None
     key = None
     if routes is None:
-        live = [(r, [], None) for r in rs]
         linear = den_lin = need_x = False
         view_first = True
     else:
-        live = [(r, [], a) for r, a in zip(rs, routes)]
         linear, view_first = True, None in routes
         need_x = (den_lin and b != 1.0) or routes.count(None) + routes.count(1.0) < len(rs)
         if not (d._positive or same):  # log2 p = -inf at a zero of p
             key = "u" if not rule else "up" if weights.beta is None else "p"
-    # One array per call holds every buffer of one block the walk uses: the
-    # log-sum-exp's two, the scratch, and the linear sum's masked w and p
-    # and its log2 p; allocated apart, they made a 10^6-entry verify walk
-    # about 5 % slower. A vector of one block reuses nothing, so numpy
-    # allocates its arrays.
-    scratch = vbufs = None
-    lbufs = (None,) * 3
+    # The log-sum-exp's kernel writes over log2 p at lambda = 0 (a product)
+    # and for one r with log2 weights apart from log2 p; else into a row
+    # of its own.
+    t_is_x = lam0 or (single and not same)
+    # Each worker's rows, by role: the log2 view's u (or g), log2 p and
+    # scratch (a utility rule's log2 v), the log-sum-exp's output, and the
+    # linear sum's w, p, log2 p and the outputs of its denominator and
+    # numerators. Roles of one name share a row, written in place where
+    # the bits are the same: log2 p over the gathered p, a lone linear
+    # sum's terms over log2 p (or over p at a = 1). A masked view also
+    # holds its gather's index, a block at most, which then serves as the
+    # row a name of None leaves out (_linear_block, _rule_block).
+    workers, rows = 1, [(None,) * 9]  # a vector of one block: numpy allocates
     if big:
-        k = 2 if view_first else 0
-        bufs = np.empty((k + 1 + (3 if key else 1 if need_x else 0), _BLOCK))
-        scratch, lbufs = bufs[k], bufs[k + 1:]
+        names = [None] * 9
+        gathers = bool(key)
         if view_first:
-            vbufs = bufs[0], bufs[1], scratch
-    elif view_first:
-        vbufs = lbufs
-    kern = backends.active_kernels()
-    out = {}
-    dens = []  # a rule's denominator partials (m, s)
-    for lo in range(0, n, _BLOCK):
-        if not live:
-            break
-        view = tv = None  # the block's log2 view, and its kernels' output
-        try:
-            if linear:
-                block = _plain_block(lin, d, key, lbufs, lo)
-                if block is None:
-                    continue
-                ub, pb = block
-                x = np.log2(pb, out=_head(lbufs[-1], pb.size)) if need_x else None
-            if view_first:
-                view = step(weights, d, lam0, vbufs, lo)
-                if view is None:
-                    continue
-        except InforcerError as err:
-            for r, _, _ in live:
-                out[r] = err
-            return out
-        if rule:
-            den = None
-            if den_lin:
-                den = _linear_sum(kern, ub, pb, x, b, scratch)
-            if den is None or not floor <= den[1] <= _HUGE:
-                if view is None:
-                    vbufs = vbufs or _view_bufs(big, scratch)
-                    view = step(weights, d, lam0, vbufs, lo)
-                    if view is None:
-                        continue
-                g = view[2]
-                tv = _head(scratch, g.size) if big else np.empty(g.size)
-                with np.errstate(over="ignore") if wide_g else _NO_GUARD:
-                    den = kern.shifted_exp2_weights(g, tv)
-                    if not lam0:  # the numerator's g, shifted as the denominator
-                        g -= den[0]
-                if lam0:  # 2^(g - m): the weights of the lambda = 0 mean
-                    view = tv, view[1], g
-            elif view is not None:  # built for a log-sum-exp route
-                g = view[2]
-                g -= den[0]
-            dens.append(den)
-        for mean in tuple(live):
-            r, parts, a = mean
-            if a is not None:
-                m, s = _linear_sum(kern, ub, pb, x, a, scratch)
-                if floor <= s <= _HUGE:
-                    parts.append((m - den[0], s) if rule else (m, s))
-                    continue
-                if view is None:  # redo the block as a log-sum-exp
-                    vbufs = vbufs or _view_bufs(big, scratch)
-                    view = step(weights, d, lam0, vbufs, lo)
-                    if view is None:
-                        continue
-                    if rule:
-                        g = view[2]
-                        g -= den[0]
-            u, xv, g = view
-            if tv is None:  # a rule's block of one vector allocates once for every r
-                tv = _head(scratch, xv.size) if big or not rule else np.empty(xv.size)
-            t = tv
-            if lam0:
-                parts.append(kern.weighted_sum(u, xv, t))
-            # r * log2 p can overflow only past SAFE_EXPONENT, and the
-            # most negative log2 p gives the largest |r * log2 p|
-            elif abs(r) > SAFE_EXPONENT and math.isinf(r * float(np.minimum.reduce(xv))):
-                out[r] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
-                live.remove(mean)
-            elif not wide:
-                parts.append(kern.weighted_log2_sumexp(xv if g is None else g, xv, r, t))
+            if rule:
+                masked = not d._positive or not (weights.extra is None or weights.extra._positive)
+                escort1 = weights.extra is None and type(weights.beta) is float
+                names[:3] = None if masked and escort1 else "vu", "vx", "vt" if weights.kind == "utility" else None
             else:
-                with np.errstate(over="ignore"):
-                    parts.append(kern.weighted_log2_sumexp(g, xv, r, t))
+                masked = not (d._positive and (lam0 or weights._positive))
+                if lam0:
+                    names[:2] = "vu" if masked else "vx", None if masked and same else "vx"
+                else:
+                    names[:2] = "vx" if same else "vu", "vx"
+            names[3] = None if t_is_x or (masked and same) else "s"
+            gathers = gathers or masked
+        if linear:
+            if key:
+                names[4:6] = "w", "p"
+            if need_x:  # p itself is kept where a sum at a = 1 reads it
+                names[6] = "p" if key and not ((den_lin and b == 1.0) or 1.0 in routes) else "x"
+            if den_lin:
+                names[7] = "s"
+            lone = not rule and single
+            names[8] = names[6] if lone and routes[0] != 1.0 else "p" if lone and key else "s"
+        if single and type(d) is not _Product and len(set(names) - {None}) + gathers <= 2:
+            workers = _WORKERS
+        rows = _rows(names, workers)
+    plan = (weights, d, rs, lam0, rule, step, backends.active_kernels(), big, wide, wide_g, routes, lin, b, den_lin,
+            floor, key, linear, view_first, need_x, t_is_x)
+    out, live, dens = (workers > 1 and _split(plan, n, rows)) or _share(plan, range(0, n, _BLOCK), rows[0])
     # the denominator: a rule's total weight 2^top * total; other weights sum to 1
     top, total = _shifted_sum(dens) if dens else (0.0, 1.0)
     for r, parts, _ in live:

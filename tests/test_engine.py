@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -59,17 +60,23 @@ class TestLambdaSwitch:
         assert calls == [-1.3 * lam]
 
     @staticmethod
-    def _spy(monkeypatch) -> list:
-        """(kernel name, r or None) of each log-sum-exp and exp2 step from now on."""
+    def _spy(monkeypatch, threads=None) -> list:
+        """(kernel name, r or None) of each log-sum-exp and exp2 step from
+        now on; each thread's own steps also go to threads, by its name."""
         kernels = backends.active_kernels()
         calls = []
 
+        def record(step):
+            calls.append(step)
+            if threads is not None:
+                threads.setdefault(threading.current_thread().name, []).append(step)
+
         def log2_sumexp(log2u, log2p, r, out):
-            calls.append(("weighted_log2_sumexp", r))
+            record(("weighted_log2_sumexp", r))
             return kernels.weighted_log2_sumexp(log2u, log2p, r, out)
 
         def exp2_weights(t, out):
-            calls.append(("shifted_exp2_weights", None))
+            record(("shifted_exp2_weights", None))
             return kernels.shifted_exp2_weights(t, out)
 
         monkeypatch.setattr(backends, "active_kernels", lambda: dataclasses.replace(
@@ -110,9 +117,13 @@ class TestLambdaSwitch:
         kernels = backends.active_kernels()
         m, s = engine._shifted_sum([kernels.weighted_log2_sumexp(np.log2(ub), np.log2(pb), -1.3, None)
                                     for pb, ub in self._blocks(p, u)])
-        calls = self._spy(monkeypatch)
+        threads = {}
+        calls = self._spy(monkeypatch, threads)
         assert quasi_mean_exponent(WeightVector(u), make_distribution(p), -1.3, 1.0) == m + float(np.log2(s))
-        assert calls == [("shifted_exp2_weights", None), ("weighted_log2_sumexp", -1.3)] * 3
+        # each worker's blocks in order, which two workers interleave
+        steps = [("shifted_exp2_weights", None), ("weighted_log2_sumexp", -1.3)]
+        assert all(own == steps * (len(own) // 2) for own in threads.values())
+        assert len(calls) == 6
 
     def test_non_finite_lambda_rejected(self):
         # lambda = (gamma - 1) / gamma overflows to -inf for arimoto at gamma = 1e-320
