@@ -25,6 +25,20 @@ core.Log2Weights where core.resolve_log2_weights finds that their log2
 weights g can stand for them. Their mean is a ratio of two sums over
 2^g, so no weight is built, divided or lost to underflow. _BLOCK is a
 constant, not a setting.
+
+Every weight rule is one pair (beta, w), with weights u_k ~ w_k p_k^beta:
+self weights are (0, p), external weights (0, u), an escort rule (beta,
+1), a utility rule (beta, v) and a tilted rule (1, u). One function,
+_block, produces a block of any pair: it masks and gathers the block
+once, by a key _walk fixes per route, and gives the linear sum's (w, p)
+or the log2 view x = log2 p with the log2 weights g = beta x + log2 w.
+A log2 view masks the zeros of its weights, those of w ("w") and, where
+beta > 0, those of p ("p", or "wp" for both), but reads a strictly
+positive p whole at lambda = 0, where a zero weight's 0 * log2 p is an
+exact 0. A linear sum reads its block whole (a zero weight adds an
+exact 0), except over a p with zeros where w is not p itself: there it
+takes its view's key. The entries a pairwise sum adds fix its bits, so
+each route keeps these keys.
 verify_composability walks a product P*Q (and U*V) of several blocks
 the same way (_Product): each block is written once from the two
 factors, as fl(p_i * q_j) in the built product's block partition, and
@@ -49,8 +63,9 @@ lambda = 0.
 
 A walk at one exponent over several blocks (not a sweep's, nor a
 _Product's) runs on two workers where this process may use two CPUs:
-the calling thread takes the first half of the blocks, and one daemon
-thread, started by the first such walk, the rest; numpy releases the
+the calling thread takes the blocks before the block boundary nearest
+n / 2, and one daemon thread, started by the first such walk, the rest
+(a walk of under two blocks stays on one thread); numpy releases the
 GIL inside each step. Every block's partial is the one a single worker
 takes, and the halves join in block order before the exact combination
 above, so every value is the same bit for bit. A share that meets an
@@ -196,88 +211,72 @@ def _take(a: np.ndarray, idx: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return np.take(a, idx, out=_head(buf, idx.size), mode="clip")
 
 
-def _linear_block(w, d, lam0: bool, bufs, lo: int):
-    """[u, log2 p, log2 u, spare] for the block of entries from lo, on
-    the support of weights w that sum to 1 over all blocks together,
-    written into bufs[0] and bufs[1]; None if no entry of the block is
-    active. u is None at lambda != 0; log2 u is None at lambda = 0 and
-    for self weights, whose log2 u is log2 p (their bufs[0] is bufs[1] at
-    lambda != 0, so log2 p is taken in place over the gathered p). w and
-    d are validated vectors, or both _Product, whose block is written
-    into its own buffer first.
+def _block(w, d, key, bufs, lo: int, beta=None, view: bool = False):
+    """The block of entries from lo of the pair (beta, w) over d, or None
+    if the key leaves no entry. w is d for self weights and None for an
+    escort rule's 1; w and d are validated vectors, or both _Product,
+    which writes its block into its own buffer.
 
-    Zero weights are masked out, except at lambda = 0 over a strictly
-    positive p, where 0 * log2 p is exactly 0. The gather's index, dead
-    once gathered, is a buffer of the block's length: log2 p goes there
-    when bufs[1] is None, and else it is returned as spare (None when
-    there is none).
+    Key None reads the block as it is; "w", "p" or "wp" keep only the
+    entries where w, p or both are nonzero, gathered into bufs[0] and
+    bufs[1] over the mask's bytes. Key "w" over a p with zeros raises
+    DomainError at a zero of p that w weighs.
+
+    Without view: (w, p), for a linear sum. With view: (u, x, g, spare)
+    with x = log2 p in bufs[1]; for beta None u = w (lambda = 0) and g
+    None, else g = beta x + log2 w in bufs[0]: x itself for self weights,
+    no multiply where w is given and beta is 0 or 1, else beta x plus a
+    log2 w taken in bufs[2] (a tilted rule's g is log2 u + log2 p, never
+    log2(u p), which underflows). A masked block's gather index, dead
+    once gathered, serves as the first of the rows x and g that is None,
+    and is otherwise returned as spare (None if there is none).
     """
+    same = w is d
     if type(d) is _Product:
-        same = w is d
         pb = d.block(lo)
-        ub = pb if same else w.block(lo)
+        wb = pb if same else w.block(lo)
     else:
-        u, p = w.values, d.values
-        same = u is p
-        ub, pb = (u, p) if p.size <= _BLOCK else (u[lo:lo + _BLOCK], p[lo:lo + _BLOCK])
+        pb = _span(d.values, lo)
+        wb = pb if same else w if w is None else _span(w.values, lo)
+    # g takes beta x: escort rules, and any other beta but 0 and 1
+    scaled = view and beta is not None and (wb is None or type(beta) is not float or beta not in (0.0, 1.0))
     spare = None
-    if not (d._positive and (lam0 or w._positive)):
-        idx = _support(ub, bufs[0])
+    if key is not None:
+        k = wb if key == "w" else pb if key == "p" else np.minimum(wb, pb, out=_head(bufs[1], pb.size))
+        idx = _support(k, bufs[1] if bufs[0] is None else bufs[0])
         if not idx.size:
             return None
-        ub = _take(ub, idx, bufs[0])
-        pb = ub if same else _take(pb, idx, bufs[1])
-        # self weights: the mask above left no zero of p
-        if not (same or d._positive) and (pb <= 0.0).any():
+        pb = _take(pb, idx, bufs[0] if same else bufs[1])
+        if same:
+            wb = pb
+        elif key == "w" and not d._positive and (pb <= 0.0).any():
             raise DomainError("zero probability carries nonzero weight")
+        elif wb is not None:
+            wb = _take(wb, idx, bufs[2] if scaled else bufs[0])
         spare = _spare(idx)
-    out = _head(bufs[1], pb.size)
-    if out is None and spare is not None:
+    if scaled and type(beta) is not float:  # one exponent per entry, multiplied in place
+        beta = _span(beta, lo) if key is None else _take(_span(beta, lo), idx, bufs[0])
+    if not view:
+        return wb, pb
+    k = pb.size
+    out = _head(bufs[1], k)
+    if spare is not None and out is None:
         out, spare = spare, None
     x = np.log2(pb, out=out)
-    if lam0 or same:
-        return ub if lam0 else None, x, None, spare
-    return None, x, np.log2(ub, out=_head(bufs[0], ub.size)), spare
-
-
-def _rule_block(w: Log2Weights, d: Distribution, lam0: bool, bufs, lo: int):
-    """[None, log2 p, g, None] for the block of entries from lo, g the
-    unnormalized log2 weights of rule w over d (core.Log2Weights), in
-    bufs[1] and bufs[0]; bufs[2] is scratch for a utility rule's log2 v,
-    and None for other rules. None if no entry of the block has weight.
-    Only exact zeros of weight are masked out, so no g is -inf: the zeros
-    of p (beta is > 0 there, see Log2Weights.in_log2_domain), and those
-    of a tilted rule's u. An escort rule of one beta with bufs[0] None
-    writes g over the gather's index, dead once gathered.
-    """
-    ubuf, xbuf, tbuf = bufs
-    beta, v = w.beta, w.extra  # v: the utilities, or a tilted rule's u
-    pb = _span(d.values, lo)
-    vb = None if v is None else _span(v.values, lo)
-    if v is None or v._positive:
-        keep = None if d._positive else pb
-    else:  # the gathers below overwrite it
-        keep = vb if d._positive else np.minimum(vb, pb, out=_head(ubuf, pb.size))
-    idx = None
-    if keep is not None:
-        idx = _support(keep, xbuf)
-        if not idx.size:
-            return None
-        pb = _take(pb, idx, xbuf)
-    k = pb.size
-    x = np.log2(pb, out=_head(xbuf, k))
-    if beta is None:  # tilted: log2 u + log2 p, never log2(u * p), which underflows
-        g = np.log2(vb if idx is None else _take(vb, idx, ubuf), out=_head(ubuf, k))
-        g += x
-        return None, x, g, None
-    if type(beta) is not float:  # one exponent per entry, multiplied in place
-        beta = _span(beta, lo) if idx is None else _take(_span(beta, lo), idx, ubuf)
-    elif ubuf is None and idx is not None and v is None:
-        ubuf = _spare(idx)
-    g = np.multiply(x, beta, out=_head(ubuf, k))
-    if v is not None:
-        g += np.log2(vb if idx is None else _take(vb, idx, tbuf), out=_head(tbuf, k))
-    return None, x, g, None
+    if beta is None:
+        return wb, x, None, spare
+    if not scaled:
+        g = x if same else np.log2(wb, out=_head(bufs[0], k))
+        if beta:
+            g += x
+        return None, x, g, spare
+    out = _head(bufs[0], k)
+    if spare is not None and out is None:
+        out, spare = spare, None
+    g = np.multiply(x, beta, out=out)
+    if wb is not None:
+        g += np.log2(wb, out=_head(bufs[2], k))
+    return None, x, g, spare
 
 
 def _shifted_sum(parts) -> tuple:
@@ -342,33 +341,6 @@ class _Product:
 # largest utility, which scales _TINY for a utility rule), cost under
 # 2^-90 of it (the max-shift argument of Blanchard, Higham & Higham).
 _TINY, _HUGE = 2.0**-969, 2.0**969
-
-
-def _plain_block(w, d, key, bufs, lo):
-    """(w, p) for the block of entries from lo: the weights a linear sum
-    takes as they are (external weights, d itself, utilities, or a
-    tilted rule's u; a _Product of d's shape for verify_composability)
-    and p. With key None, the block itself: a zero weight adds an exact
-    0 to the sum. Otherwise only the entries where key > 0 remain,
-    written into bufs[0] and bufs[1], because log2 p is -inf at a zero
-    of p: "u" keeps the nonzero weights and raises DomainError at a zero
-    of p among them, "p" the nonzero p, "up" the entries where both are
-    nonzero. None if no entry remains."""
-    if type(d) is _Product:
-        pb = d.block(lo)
-        wb = pb if w is d else w.block(lo)
-    else:
-        pb, wb = _span(d.values, lo), _span(w.values, lo)
-    if key is None:
-        return wb, pb
-    k = pb if key == "p" else wb if key == "u" else np.minimum(wb, pb, out=_head(bufs[1], pb.size))
-    idx = _support(k, bufs[0])
-    if not idx.size:
-        return None
-    pb = _take(pb, idx, bufs[1])
-    if key == "u" and (pb <= 0.0).any():
-        raise DomainError("zero probability carries nonzero weight")
-    return _take(wb, idx, bufs[0]), pb
 
 
 def _linear_sum(kern, w, p, x, a: float, buf) -> tuple:
@@ -464,9 +436,10 @@ if hasattr(os, "register_at_fork"):
 
 
 def _split(plan, n: int, rows):
-    """_share's (out, live, dens) of plan over the blocks of n entries:
-    the first ceil(blocks / 2) on this thread and the rest on the worker
-    at once, joined in block order. None if another walk holds the
+    """_share's (out, live, dens) of plan over the blocks of n >= 2 *
+    _BLOCK entries: the blocks before the block boundary nearest n / 2 on
+    this thread and the rest on the worker at once, joined in block
+    order. None if another walk holds the
     worker, or if either share raised or met an error: the caller then
     walks again on one worker. A walk that is interrupted drops the
     worker, which would otherwise leave its result for the next walk to
@@ -475,7 +448,7 @@ def _split(plan, n: int, rows):
     if not _worker_lock.acquire(blocking=False):
         return None
     try:
-        mid = (-(-n // _BLOCK) + 1) // 2 * _BLOCK
+        mid = round(n / (2 * _BLOCK)) * _BLOCK
         worker, _worker = _worker or _Worker(), None
         try:
             worker.hand(_share, plan, range(mid, n, _BLOCK), rows[1])
@@ -500,11 +473,11 @@ def _share(plan, los, bufs) -> tuple:
     """(out, live, dens) of a walk's plan (_walk) over the blocks from each
     lo of los, through bufs, a worker's rows: the errors so far, each
     live r's partials, and a rule's denominator partials (m, s)."""
-    (weights, d, rs, lam0, rule, step, kern, big, wide, wide_g, routes, lin, b, den_lin, floor,
-     key, linear, view_first, need_x, t_is_x) = plan
+    w, d, beta, rs, lam0, rule, kern, big, wide, wide_g, routes, floor, key, vkey, view_first, need_x, t_is_x = plan
     vu, vx, vt, st, lw, lp, lx, ls, lt = bufs
     vbufs = vu, vx, vt
-    live = [(r, [], None) for r in rs] if routes is None else [(r, [], a) for r, a in zip(rs, routes)]
+    linear = routes is not None
+    live = [(r, [], a) for r, a in zip(rs, routes)] if linear else [(r, [], None) for r in rs]
     out, dens = {}, []
     for lo in los:
         if not live:
@@ -514,13 +487,13 @@ def _share(plan, los, bufs) -> tuple:
         view = tv = u = xv = g = spare = None
         try:
             if linear:
-                block = _plain_block(lin, d, key, (lw, lp), lo)
+                block = _block(w, d, key, (lw, lp), lo)
                 if block is None:
                     continue
                 ub, pb = block
                 x = np.log2(pb, out=_head(lx, pb.size)) if need_x else None
             if view_first:
-                view = step(weights, d, lam0, vbufs, lo)
+                view = _block(w, d, vkey, vbufs, lo, beta, True)
                 if view is None:
                     continue
         except InforcerError as err:
@@ -528,11 +501,11 @@ def _share(plan, los, bufs) -> tuple:
                 out[r] = err
             return out, [], dens
         if rule:
-            den = _linear_sum(kern, ub, pb, x, b, ls) if den_lin else None
+            den = _linear_sum(kern, ub, pb, x, beta, ls) if linear else None
             if den is None or not floor <= den[1] <= _HUGE:
                 if view is None:
                     vbufs, st = _redo_rows(vbufs, st, big)
-                    view = step(weights, d, lam0, vbufs, lo)
+                    view = _block(w, d, vkey, vbufs, lo, beta, True)
                     if view is None:
                         continue
                 g = view[2]
@@ -560,7 +533,7 @@ def _share(plan, los, bufs) -> tuple:
                     continue
                 if view is None:  # redo the block as a log-sum-exp
                     vbufs, st = _redo_rows(vbufs, st, big)
-                    view = step(weights, d, lam0, vbufs, lo)
+                    view = _block(w, d, vkey, vbufs, lo, beta, True)
                     if view is None:
                         continue
                     if rule:
@@ -577,7 +550,7 @@ def _share(plan, los, bufs) -> tuple:
                 out[r] = Overflow(f"tau*lambda = {r!r} is too large: tau*lambda*log2(p) leaves the double range")
                 live.remove(mean)
             elif not wide:
-                parts.append(kern.weighted_log2_sumexp(xv if g is None else g, xv, r, tv))
+                parts.append(kern.weighted_log2_sumexp(g, xv, r, tv))
             else:
                 with np.errstate(over="ignore"):
                     parts.append(kern.weighted_log2_sumexp(g, xv, r, tv))
@@ -588,7 +561,7 @@ def _share(plan, los, bufs) -> tuple:
 
 def _walk(weights, dist, rs) -> dict:
     """The inner mean over (weights, dist) at each exponent r = tau*lambda
-    of rs: log2( sum_k u_k p_k^r ), or sum_k u_k log2 p_k for the key None
+    of rs: log2( sum_k u_k p_k^r ), or sum_k u_k log2 p_k for r None
     (lambda = 0), which rs then holds alone. Per r, the float or the
     InforcerError its mean raised, as a walk at that r alone gives it; a
     check every r shares raises. Each block is produced once, through
@@ -603,22 +576,28 @@ def _walk(weights, dist, rs) -> dict:
     points of rs, so a sweep's point gets its own call's bits:
     - linear: sum_k w_k p_k^a over the block, with w the weights as they
       are (external weights, a utility rule's v, a tilted rule's u, or
-      self weights at r = 1) and a = r, beta + r or 1 + r; a rule's
-      denominator is the same sum at a = beta or 1. At a = 1 it is a
+      self weights at r = 1) and a = beta + r; a rule's denominator is
+      the same sum at a = beta. At a = 1 it is a
       product-sum, with no log2 or exp2; elsewhere _linear_sum takes it
       with one exp2 and no log2 of w. A vector of one block takes it
       only at r = 1 of self or external weights. The partial is kept
       where it lies in [_TINY, _HUGE] (_TINY times the largest utility);
       any other block is redone, through rows of its own:
-    - log-sum-exp over the log2 weights (_linear_block, _rule_block):
-      self weights at r != 1, escort rules, lambda = 0, |r| or |beta|
-      near SAFE_EXPONENT, utilities past 2^969, and each block that the
-      linear sum refused.
+    - log-sum-exp over the log2 weights g = beta log2 p + log2 w: self
+      weights at r != 1, escort rules, lambda = 0, |r| or |beta| near
+      SAFE_EXPONENT, utilities past 2^969, and each block that the linear
+      sum refused.
 
-    The blocks run in _share. A walk at one r of several blocks, other
-    than a _Product's, runs on _WORKERS workers where each needs at most
-    two blocks, its rows and a gather's index (_split); its partials are
-    the same, joined in the same order.
+    Both take their blocks from _block, masked by one key per route:
+    vkey for the log2 view, the zeros of the weights (of w, and of p
+    where beta > 0) unless p is strictly positive at lambda = 0; key for
+    the linear sum, None but over a p with zeros where w is not p
+    itself, where it is vkey.
+
+    The blocks run in _share. A walk at one r of two blocks or more,
+    other than a _Product's, runs on _WORKERS workers where each needs at
+    most two blocks, its rows and a gather's index (_split); its partials
+    are the same, joined in the same order.
     """
     lam0 = rs[0] is None
     rule = type(weights) is Log2Weights
@@ -628,98 +607,102 @@ def _walk(weights, dist, rs) -> dict:
     else:
         d = as_distribution(dist)
         n = d.values.size
-        if not rule:
+        if not (rule or weights is d):
             # a Distribution carries values and _positive as a WeightVector does
             weights = weights if type(weights) is Distribution else as_weight_vector(weights)
             check_length(weights.values, d.values, "weights")
         same = not rule and weights.values is d.values
     if not rule and weights._positive and not d._positive:
         raise DomainError("zero probability carries nonzero weight")
-    step = _rule_block if rule else _linear_block
-    beta_abs = weights.beta_abs if rule else 0.0
+    # The pair (beta, w); at lambda = 0 self and external weights enter
+    # the mean as they are (beta None)
+    if rule:
+        w, beta, beta_abs = weights.extra, 1.0 if weights.beta is None else weights.beta, weights.beta_abs
+        wz = w is not None and not w._positive
+        # a zero of weight is masked out: one of w, and one of p, where beta > 0
+        vkey = ("wp" if wz else "p") if not d._positive else "w" if wz else None
+    else:
+        # self weights are d itself, which _block reads as one array
+        w, beta, beta_abs = d if same else weights, None if lam0 else 0.0, 0.0
+        # at lambda = 0 over a strictly positive p, 0 * log2 p is an exact 0
+        vkey = None if d._positive and (lam0 or weights._positive) else "w"
     # a rule's kernel exponents (g - m) + r log2 p span (2|r| + 4|beta|) *
     # 1074 and a little more: past SAFE_EXPONENT a term may fall to 2^-inf
-    wide = rule and not lam0 and 2.0 * max(map(abs, rs)) + 4.0 * beta_abs > SAFE_EXPONENT
+    single = len(rs) == 1
+    wide = rule and not lam0 and 2.0 * (abs(rs[0]) if single else max(map(abs, rs))) + 4.0 * beta_abs > SAFE_EXPONENT
     # g itself spans past SAFE_EXPONENT only for escort exponents of both
     # signs; g - max g then falls to -inf, whose 2^-inf = 0 is exact
     wide_g = rule and weights.spread > SAFE_EXPONENT
     big = n > _BLOCK
-    single = len(rs) == 1
-    # Per r, the exponent a = b + r of its linear sum sum_k w_k p_k^a, or
-    # None for the log-sum-exp; w enters as it is. At a = 1 the sum is a
-    # product-sum. Elsewhere it costs an exp2 and one pass more than the
+    # Per r, the exponent a = beta + r of its linear sum sum_k w_k p_k^a,
+    # or None for the log-sum-exp; w enters as it is. At a = 1 the sum is
+    # a product-sum. Elsewhere it costs an exp2 and one pass more than the
     # log-sum-exp and saves the log2 of w, which pays only past one
     # block, and never for self weights, whose log2 is log2 p. So lambda
     # = 0 and escort rules take none, self weights take one only at r = 1,
     # and a vector of one block only at r = 1 of self or external weights,
     # where the walk then needs no log2 at all.
-    routes = lin = b = floor = None
-    if not (lam0 or (rule and weights.kind == "escort")) and (big and not same or not rule and 1.0 in rs):
-        lin = weights.extra if rule else weights
-        b = (1.0 if weights.beta is None else weights.beta) if rule else 0.0
-        routes = [b + r if (b + r == 1.0 or (big and not same)) and 2.0 * abs(r) + 4.0 * beta_abs <= SAFE_EXPONENT
-                  else None for r in rs]
-        den_lin = rule
+    routes = floor = None
+    if not (lam0 or w is None) and (big and not same or not rule and 1.0 in rs):
+        routes = [beta + r if (beta + r == 1.0 or (big and not same)) and 2.0 * abs(r) + 4.0 * beta_abs
+                  <= SAFE_EXPONENT else None for r in rs]
         floor = _TINY
-        if not (den_lin or routes.count(None) < len(rs)):
+        if not (rule or routes.count(None) < len(rs)):
             routes = None
         elif rule and weights.kind == "utility":
             # an exp2 that underflows is off by 2^-1074 times its utility
-            floor *= max(1.0, float(np.maximum.reduce(lin.values)))
+            floor *= max(1.0, float(np.maximum.reduce(w.values)))
             if floor > 1.0:  # past 2^969 a block's sum could overflow
                 routes = None
-    key = None
-    if routes is None:
-        linear = den_lin = need_x = False
-        view_first = True
-    else:
-        linear, view_first = True, None in routes
-        need_x = (den_lin and b != 1.0) or routes.count(None) + routes.count(1.0) < len(rs)
-        if not (d._positive or same):  # log2 p = -inf at a zero of p
-            key = "u" if not rule else "up" if weights.beta is None else "p"
+    linear = routes is not None
+    view_first = not linear or None in routes
+    # a rule's denominator is the linear sum at a = beta
+    need_x = linear and ((rule and beta != 1.0) or routes.count(None) + routes.count(1.0) < len(rs))
+    # a zero weight adds an exact 0 to a linear sum, but log2 p is -inf at
+    # a zero of p
+    key = None if not linear or d._positive or same else vkey
     # The log-sum-exp's kernel writes over log2 p at lambda = 0 (a product)
     # and for one r with log2 weights apart from log2 p; else into a row
     # of its own.
     t_is_x = lam0 or (single and not same)
-    # Each worker's rows, by role: the log2 view's u (or g), log2 p and
-    # scratch (a utility rule's log2 v), the log-sum-exp's output, and the
-    # linear sum's w, p, log2 p and the outputs of its denominator and
-    # numerators. Roles of one name share a row, written in place where
-    # the bits are the same: log2 p over the gathered p, a lone linear
-    # sum's terms over log2 p (or over p at a = 1). A masked view also
-    # holds its gather's index, a block at most, which then serves as the
-    # row a name of None leaves out (_linear_block, _rule_block).
+    # Each worker's rows, by role: the log2 view's w (or g), log2 p and
+    # scratch (the log2 w added to beta log2 p), the log-sum-exp's output,
+    # and the linear sum's w, p, log2 p and the outputs of its denominator
+    # and numerators. Roles of one name share a row, written in place
+    # where the bits are the same: log2 p over the gathered p, a lone
+    # linear sum's terms over log2 p (or over p at a = 1). A masked view
+    # also holds its gather's index, a block at most, which then serves as
+    # the row a name of None leaves out (_block).
     workers, rows = 1, [(None,) * 9]  # a vector of one block: numpy allocates
     if big:
         names = [None] * 9
-        gathers = bool(key)
+        masked = view_first and vkey is not None
         if view_first:
             if rule:
-                masked = not d._positive or not (weights.extra is None or weights.extra._positive)
-                escort1 = weights.extra is None and type(weights.beta) is float
+                escort1 = w is None and type(beta) is float
                 names[:3] = None if masked and escort1 else "vu", "vx", "vt" if weights.kind == "utility" else None
+            elif lam0:
+                names[:2] = "vu" if masked else "vx", None if masked and same else "vx"
             else:
-                masked = not (d._positive and (lam0 or weights._positive))
-                if lam0:
-                    names[:2] = "vu" if masked else "vx", None if masked and same else "vx"
-                else:
-                    names[:2] = "vx" if same else "vu", "vx"
+                names[:2] = "vx" if same else "vu", "vx"
             names[3] = None if t_is_x or (masked and same) else "s"
-            gathers = gathers or masked
         if linear:
             if key:
                 names[4:6] = "w", "p"
             if need_x:  # p itself is kept where a sum at a = 1 reads it
-                names[6] = "p" if key and not ((den_lin and b == 1.0) or 1.0 in routes) else "x"
-            if den_lin:
+                names[6] = "p" if key and not ((rule and beta == 1.0) or 1.0 in routes) else "x"
+            if rule:
                 names[7] = "s"
             lone = not rule and single
             names[8] = names[6] if lone and routes[0] != 1.0 else "p" if lone and key else "s"
-        if single and type(d) is not _Product and len(set(names) - {None}) + gathers <= 2:
+        # a split walk holds at most four blocks: two per worker, a masked
+        # block's gather index counted as one
+        gathers = bool(key) or masked
+        if single and n >= 2 * _BLOCK and type(d) is not _Product and len(set(names) - {None}) + gathers <= 2:
             workers = _WORKERS
         rows = _rows(names, workers)
-    plan = (weights, d, rs, lam0, rule, step, backends.active_kernels(), big, wide, wide_g, routes, lin, b, den_lin,
-            floor, key, linear, view_first, need_x, t_is_x)
+    plan = (w, d, beta, rs, lam0, rule, backends.active_kernels(), big, wide, wide_g, routes, floor, key, vkey,
+            view_first, need_x, t_is_x)
     out, live, dens = (workers > 1 and _split(plan, n, rows)) or _share(plan, range(0, n, _BLOCK), rows[0])
     # the denominator: a rule's total weight 2^top * total; other weights sum to 1
     top, total = _shifted_sum(dens) if dens else (0.0, 1.0)
@@ -803,7 +786,8 @@ def inaccuracy(weights, dist, tau: float, lam: float, c: float = 1.0, e: float =
 
 
 def certainty(weights, dist, tau: float, lam: float, c: float = 1.0, e: float = 1.0) -> float:
-    """Certainty-family value 2^(-c*X)/e; strictly positive."""
+    """Certainty-family value 2^(-c*X)/e: positive, and 0.0 where it
+    underflows, below 2^-1074."""
     return inforcer_measure(weights, dist, MeasureParams.of("certainty", PolyParams(tau, lam, c, e)))
 
 

@@ -11,6 +11,10 @@ a kernel it reaches through backends.active_kernels(), which a tracer
 swaps to time each kernel (perfbench/tracing.py reports them under
 backends.*).
 
+One function of the engine masks and gathers a block, for every weight
+rule: it alone calls _support and _take, so which entries a sum adds is
+decided in one place.
+
 The package starts threads at one place only, the engine's worker for
 the second half of a split walk, and imports no pool: importing concurrent.futures adds a
 few milliseconds to every cold start of the CLI.
@@ -96,3 +100,32 @@ def test_no_pool_and_one_thread_start_in_src():
     assert [(name, hit) for name, text in sources.items() for hit in pool_imports(text)] == []
     assert [(name, len(thread_starts(text))) for name, text in sources.items() if thread_starts(text)] == [
         ("engine.py", 1)]
+
+
+def callers(source: str, name: str) -> list:
+    """The innermost function around each call of name, sorted, once each."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name:
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_lint_sees_the_callers_of_a_function():
+    sample = ("def f(a):\n    return _support(a, None)\n\n"
+              "def g(a, i):\n    def h():\n        return _take(a, i, None)\n    return h() + _support(a, None)\n")
+    assert callers(sample, "_support") == ["f", "g"]
+    assert callers(sample, "_take") == ["h"]
+
+
+def test_one_function_masks_and_gathers_a_block():
+    source = (SRC / "engine.py").read_text()
+    masks, gathers = callers(source, "_support"), callers(source, "_take")
+    assert len(masks) == 1 and gathers == masks, (masks, gathers)

@@ -104,17 +104,16 @@ def test_escort_weights_built_once_per_distinct_beta(monkeypatch):
 
 
 def test_masking_and_log2_once_per_weight_vector(monkeypatch):
-    # masking and log2 run in the block steps; a 4-entry input is one block
+    # masking and log2 run in the block producer; a 4-entry input is one block
     calls = []
+    real = engine._block
 
-    def counted(real):
-        def step(*args):
+    def counted(w, d, key, bufs, lo, beta=None, view=False):
+        if view:  # a linear sum's (w, p) takes no log2
             calls.append(1)
-            return real(*args)
-        return step
+        return real(w, d, key, bufs, lo, beta, view)
 
-    for name in ("_linear_block", "_rule_block"):
-        monkeypatch.setattr(engine, name, counted(getattr(engine, name)))
+    monkeypatch.setattr(engine, "_block", counted)
     p = make_distribution([0.1, 0.2, 0.3, 0.4])
     registry.evaluate_named("renyi", p, sweep=("alpha", [0.5, 0.8, 1.5, 2.0]))
     assert len(calls) == 1
@@ -168,18 +167,19 @@ def test_points_on_both_sides_of_lambda_zero_walk_each_block_once_per_kind(monke
     # alpha = 1 + 1e-12 is a lambda = 0 point, the others are not: each of
     # the two blocks is masked and logged once for each kind
     calls = []
-    real = engine._linear_block
+    real = engine._block
 
-    def counted(w, d, lam0, bufs, lo):
-        calls.append((lam0, lo))
-        return real(w, d, lam0, bufs, lo)
+    def counted(w, d, key, bufs, lo, beta=None, view=False):
+        if view:  # self weights read w itself only at lambda = 0
+            calls.append((beta is None, lo))
+        return real(w, d, key, bufs, lo, beta, view)
 
     p = random_simplex(np.random.default_rng(15), engine._BLOCK + 9)
     p[[3, -2]] = 0.0
     p = make_distribution(p / p.sum())
     grid = [0.5, 1.0 + 1e-12, 2.0, 3.0]
     want = _per_point("renyi", p, None, None, {}, "alpha", grid)
-    monkeypatch.setattr(engine, "_linear_block", counted)
+    monkeypatch.setattr(engine, "_block", counted)
     _assert_same(registry.evaluate_named("renyi", p, sweep=("alpha", grid)), want)
     assert sorted(calls) == [(False, 0), (False, engine._BLOCK), (True, 0), (True, engine._BLOCK)]
 

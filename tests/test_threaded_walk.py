@@ -68,12 +68,13 @@ def handoffs(monkeypatch):
     return ranges
 
 
-def _vectors(blocks: int, zeros: bool, seed: int = 21):
-    """(P, U, V) of (blocks - 1) * B + 17 entries, the last block ragged.
-    With zeros, P and U are zero together on a few entries of the
-    worker's share only (the blocks from the middle on)."""
+def _vectors(blocks: int, zeros: bool, seed: int = 21, ragged: bool = True):
+    """(P, U, V) of (blocks - 1) * B + 17 entries, the last block ragged,
+    or of blocks * B entries where not ragged. With zeros, P and U are
+    zero together on a few entries of the worker's share only (the
+    blocks from the middle on)."""
     rng = np.random.default_rng(seed)
-    n = (blocks - 1) * B + 17
+    n = (blocks - 1) * B + 17 if ragged else blocks * B
     p, u = random_simplex(rng, n), random_simplex(rng, n)
     if zeros:
         mid = (blocks + 1) // 2 * B
@@ -87,6 +88,7 @@ def _rules(u, v):
     return {
         "self": "self",
         "escort": ("escort", 1.5),
+        "betas": ("escort", np.linspace(0.5, 1.5, u.values.size)),
         "utility": ("utility", 0.5, v),
         "external": ("external", u),
         "tilted": ("tilted", u),
@@ -95,12 +97,31 @@ def _rules(u, v):
 
 @pytest.mark.parametrize("blocks", [2, 3, 31])
 @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zeros-in-worker-share"])
-@pytest.mark.parametrize("rule", ["self", "escort", "utility", "external", "tilted"])
+@pytest.mark.parametrize("rule", ["self", "escort", "betas", "utility", "external", "tilted"])
 def test_two_workers_give_one_workers_bits(rule, zeros, blocks, two, one, handoffs):
-    p, u, v = _vectors(blocks, zeros)
+    # two blocks are two full ones, the fewest entries a walk splits
+    p, u, v = _vectors(blocks, zeros, ragged=blocks != 2)
     w = _rules(u, v)[rule]
     for lam in LAMS:
         assert entropy(p, w, lam=lam) == one(entropy, p, w, lam=lam), lam
+
+
+@pytest.mark.parametrize("n", [1000, 2 * B + 17])
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zeros"])
+def test_weights_that_are_p_itself_give_the_bits_of_a_copy(zeros, n, two):
+    # a tilted rule's u or external weights may share p's array; only
+    # self weights read it as log2 p
+    rng = np.random.default_rng(26)
+    p = random_simplex(rng, n)
+    if zeros:
+        p[rng.choice(n, 5, replace=False)] = 0.0
+    p = make_distribution(p / p.sum())
+    q = make_distribution(p.values.copy())
+    for lam in LAMS:
+        assert entropy(p, ("tilted", p), lam=lam) == entropy(p, ("tilted", q), lam=lam), lam
+        assert entropy(p, ("external", p), lam=lam) == entropy(p, ("external", q), lam=lam), lam
+    for name, kwargs in [("pardo", {"gamma": 2.0}), ("tuteja", {"gamma": 2.0, "beta": 1.5})]:
+        assert evaluate_named(name, p, weights=p, **kwargs) == evaluate_named(name, p, weights=q, **kwargs), name
 
 
 def test_the_routes_that_fit_two_rows_split(two, handoffs):
@@ -112,7 +133,7 @@ def test_the_routes_that_fit_two_rows_split(two, handoffs):
                       (p, ("external", u), 0.7), (p, ("tilted", u), 0.7), (z, "self", -1.0)]:
         handoffs.clear()
         entropy(d, w, lam=lam)
-        assert handoffs == [range(2 * B, 2 * B + 17, B)], (w, lam)
+        assert handoffs == [range(B, 2 * B + 17, B)], (w, lam)
 
 
 def test_catalog_rows_on_two_workers(two, one):
@@ -142,6 +163,18 @@ def test_one_block_never_hands_work_over(two, handoffs):
             for lam in LAMS:
                 entropy(p, w, lam=lam)
     assert handoffs == []
+
+
+def test_a_walk_splits_from_two_blocks_at_the_boundary_nearest_half(two, one, handoffs):
+    # under two blocks the worker would get less than one block, whose
+    # handoff costs more than it saves
+    rng = np.random.default_rng(9)
+    for n, want in [(2 * B - 1, []), (2 * B, [range(B, 2 * B, B)]), (3 * B, [range(2 * B, 3 * B, B)]),
+                    (4 * B + 17, [range(2 * B, 4 * B + 17, B)])]:
+        p = make_distribution(random_simplex(rng, n))
+        handoffs.clear()
+        assert entropy(p, lam=0.7) == one(entropy, p, lam=0.7)
+        assert handoffs == want, n
 
 
 def _error(fn, *args, **kwargs):
@@ -199,11 +232,11 @@ def test_all_weights_zero(two, one, handoffs):
 @pytest.mark.parametrize("error", [DomainError("zero probability carries nonzero weight"), RuntimeError("boom")],
                          ids=["inforcer-error", "other-error"])
 def test_a_share_that_raises_is_walked_again_on_one_worker(thread, error, two, one, handoffs, monkeypatch):
-    # the block step raises on one thread only: the walk on one worker,
+    # the block producer raises on one thread only: the walk on one worker,
     # which runs on the calling thread, gives the value
     p, _, _ = _vectors(3, zeros=False)
     want = one(entropy, p, lam=0.7)
-    real = engine._linear_block
+    real = engine._block
 
     def step(*args):
         if threading.current_thread().name == thread:
@@ -220,7 +253,7 @@ def test_a_share_that_raises_is_walked_again_on_one_worker(thread, error, two, o
                 raise error
             return real(*args)
 
-    monkeypatch.setattr(engine, "_linear_block", step)
+    monkeypatch.setattr(engine, "_block", step)
     assert entropy(p, lam=0.7) == want
     assert len(handoffs) == 1
 
@@ -309,7 +342,7 @@ def test_an_interrupted_walk_leaves_nothing_for_the_next(where, two, one, monkey
     p, _, _ = _vectors(3, zeros=False, seed=24)
     q, _, _ = _vectors(3, zeros=False, seed=25)
     want = one(entropy, q, lam=0.7)
-    real_step, real_wait = engine._linear_block, engine._Worker.wait
+    real_step, real_wait = engine._block, engine._Worker.wait
     dropped = []
 
     def step(*args):
@@ -328,7 +361,7 @@ def test_an_interrupted_walk_leaves_nothing_for_the_next(where, two, one, monkey
 
     real_hand = engine._Worker.hand
     with monkeypatch.context() as m:
-        m.setattr(engine, "_linear_block", step)
+        m.setattr(engine, "_block", step)
         m.setattr(engine._Worker, "hand", hand)
         if where == "wait":
             m.setattr(engine._Worker, "wait", wait)
@@ -373,9 +406,9 @@ def test_memory_of_every_two_worker_route(zeros, two, handoffs):
 
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["positive", "zeros"])
-@pytest.mark.parametrize("rule", ["self", "escort", "utility", "external", "tilted"])
+@pytest.mark.parametrize("rule", ["self", "escort", "betas", "utility", "external", "tilted"])
 def test_a_walk_allocates_its_rows_and_nothing_else(rule, zeros, one, monkeypatch):
-    # _walk names the rows each route uses, and the block steps fall back
+    # _walk names the rows each route uses, and the block producer falls back
     # on numpy's own outputs where a row is None: a walk's peak is its
     # rows, a gather's index of one block where it masks, and a mask's
     # bytes, so a step that needs a row its table left out shows here
