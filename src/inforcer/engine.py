@@ -56,10 +56,12 @@ alpha = 2), where the walk then takes no log2 at all. It is kept where
 it lies in [2^-969, 2^969], the range registry._Sums keeps a plain sum
 in: no term overflows there, and terms that underflow cost under 2^-90
 of it (the max-shift argument of Blanchard, Higham & Higham, IMA J.
-Numer. Anal. 41, 2021). Any other block is redone as a log-sum-exp over
-the log2 weights, which every other sum takes: self weights at any
-other r and escort rules, whose linear form costs the same exp2, and
-lambda = 0.
+Numer. Anal. 41, 2021). Every other sum is a log-sum-exp over the log2
+weights: self weights at any other r and escort rules, whose linear
+form costs the same exp2, lambda = 0, and each linear sum a block
+refused. A block takes its sums in one order (_share): its linear sums
+first, then at most one log2 view for all that they left, on the rows
+the walk planned for a view, or else numpy's own outputs.
 
 A walk at one exponent over several blocks (not a sweep's, nor a
 _Product's) runs on two workers where this process may use two CPUs:
@@ -343,26 +345,19 @@ class _Product:
 _TINY, _HUGE = 2.0**-969, 2.0**969
 
 
-def _linear_sum(kern, w, p, x, a: float, buf) -> tuple:
-    """(m, s) with sum_k w_k p_k^a = 2^m * s over one block: the plain
-    sum_k w_k p_k at a = 1, else sum_k w_k 2^(a x_k - m) with x = log2 p
-    and m = max_k a x_k, taken by the kernels, which run every exp2."""
+def _linear_sum(kern, w, p, x, a: float, buf, floor: float):
+    """(m, s) with sum_k w_k p_k^a = 2^m * s over one block, or None where
+    s leaves [floor, _HUGE]: the plain sum_k w_k p_k at a = 1, else sum_k
+    w_k 2^(a x_k - m) with x = log2 p and m = max_k a x_k, taken by the
+    kernels, which run every exp2."""
     t = _head(buf, p.size)
     if a == 1.0:
-        return 0.0, kern.weighted_sum(w, p, t)
-    t = np.multiply(x, a, out=t)
-    m = kern.shifted_exp2_weights(t, t)[0]
-    return m, kern.weighted_sum(w, t, t)
-
-
-def _redo_rows(vbufs, st, big: bool) -> tuple:
-    """(vbufs, st) for the log2 view of a block the linear sum refused:
-    three rows of the worker's own where the walk allocated the view none
-    (numpy allocates for a vector of one block)."""
-    if not big or vbufs[1] is not None:
-        return vbufs, st
-    rows = tuple(np.empty((3, _BLOCK)))
-    return rows, rows[2]
+        m, s = 0.0, kern.weighted_sum(w, p, t)
+    else:
+        t = np.multiply(x, a, out=t)
+        m = kern.shifted_exp2_weights(t, t)[0]
+        s = kern.weighted_sum(w, t, t)
+    return (m, s) if floor <= s <= _HUGE else None
 
 
 def _rows(names, workers: int) -> list:
@@ -472,76 +467,69 @@ def _split(plan, n: int, rows):
 def _share(plan, los, bufs) -> tuple:
     """(out, live, dens) of a walk's plan (_walk) over the blocks from each
     lo of los, through bufs, a worker's rows: the errors so far, each
-    live r's partials, and a rule's denominator partials (m, s)."""
-    w, d, beta, rs, lam0, rule, kern, big, wide, wide_g, routes, floor, key, vkey, view_first, need_x, t_is_x = plan
+    live r's partials, and a rule's denominator partials (m, s).
+
+    Every block takes one order. Its linear phase comes first: a rule's
+    denominator, then each linear route's numerator, each kept or
+    refused by its magnitude. Then at most one log2 view serves whatever
+    that phase left: the log-sum-exp routes, a refused denominator and
+    refused numerators. A rule's kept numerators are shifted by the
+    denominator's m, the view's max g where the denominator was refused.
+    A view the walk planned no rows for takes numpy's own outputs."""
+    w, d, beta, rs, lam0, rule, kern, wide, wide_g, routes, floor, key, vkey, need_x, t_is_x = plan
     vu, vx, vt, st, lw, lp, lx, ls, lt = bufs
-    vbufs = vu, vx, vt
-    linear = routes is not None
-    live = [(r, [], a) for r, a in zip(rs, routes)] if linear else [(r, [], None) for r in rs]
+    live = [(r, [], a) for r, a in zip(rs, routes)] if routes else [(r, [], None) for r in rs]
     out, dens = {}, []
     for lo in los:
         if not live:
             break
         # the block's log2 view and its kernels' output; dropping the
         # last block's frees a gather's index before the next is taken
-        view = tv = u = xv = g = spare = None
+        view = tv = u = xv = g = spare = den = None
+        todo, kept = live, ()  # the means the view serves, and the kept linear partials
         try:
-            if linear:
+            if routes is not None:
                 block = _block(w, d, key, (lw, lp), lo)
                 if block is None:
                     continue
                 ub, pb = block
                 x = np.log2(pb, out=_head(lx, pb.size)) if need_x else None
-            if view_first:
-                view = _block(w, d, vkey, vbufs, lo, beta, True)
-                if view is None:
+                if rule:
+                    den = _linear_sum(kern, ub, pb, x, beta, ls, floor)
+                todo, kept = [], []
+                for mean in live:
+                    part = None if mean[2] is None else _linear_sum(kern, ub, pb, x, mean[2], lt, floor)
+                    if part is None:
+                        todo.append(mean)
+                    else:
+                        kept.append((mean[1], part))
+            if todo or (rule and den is None):
+                view = _block(w, d, vkey, (vu, vx, vt), lo, beta, True)
+                if view is None:  # every weight is zero, so the linear phase kept nothing
                     continue
         except InforcerError as err:
             for r, _, _ in live:
                 out[r] = err
             return out, [], dens
-        if rule:
-            den = _linear_sum(kern, ub, pb, x, beta, ls) if linear else None
-            if den is None or not floor <= den[1] <= _HUGE:
-                if view is None:
-                    vbufs, st = _redo_rows(vbufs, st, big)
-                    view = _block(w, d, vkey, vbufs, lo, beta, True)
-                    if view is None:
-                        continue
-                g = view[2]
-                with np.errstate(over="ignore") if wide_g else _NO_GUARD:
-                    if lam0:  # g becomes 2^(g - m), the weights of the lambda = 0 mean
-                        den = kern.shifted_exp2_weights(g, g)
-                        view = g, view[1], g, None
-                    elif big:  # g - m now, and sum 2^(g - m) over g after the numerators: no row
-                        den = float(np.maximum.reduce(g)), None
-                        g -= den[0]
-                    else:
-                        tv = np.empty(g.size)  # one vector's block allocates once for every r
-                        den = kern.shifted_exp2_weights(g, tv)
-                        g -= den[0]
-            elif view is not None:  # built for a log-sum-exp route
-                g = view[2]
-                g -= den[0]
-            dens.append(den)
-        for mean in tuple(live):
-            r, parts, a = mean
-            if a is not None:
-                m, s = _linear_sum(kern, ub, pb, x, a, lt)
-                if floor <= s <= _HUGE:
-                    parts.append((m - den[0], s) if rule else (m, s))
-                    continue
-                if view is None:  # redo the block as a log-sum-exp
-                    vbufs, st = _redo_rows(vbufs, st, big)
-                    view = _block(w, d, vkey, vbufs, lo, beta, True)
-                    if view is None:
-                        continue
-                    if rule:
-                        g = view[2]
-                        g -= den[0]
+        if view is not None:
             u, xv, g, spare = view
-            if tv is None:
-                tv = xv if t_is_x else spare if spare is not None else _head(st, xv.size)
+            if rule and lam0:  # g becomes 2^(g - m), the weights of the lambda = 0 mean
+                with np.errstate(over="ignore") if wide_g else _NO_GUARD:
+                    den = kern.shifted_exp2_weights(g, g)
+                u = g
+            elif rule:  # g - m, by the kept m or max g; the view's sum 2^(g - m) over g follows the numerators: no row
+                if den is None:
+                    den = float(np.maximum.reduce(g)), None
+                if not wide_g:
+                    g -= den[0]
+                else:
+                    with np.errstate(over="ignore"):
+                        g -= den[0]
+            tv = xv if t_is_x else spare if spare is not None else _head(st, xv.size)
+        for parts, (m, s) in kept:
+            parts.append((m - den[0], s) if rule else (m, s))
+        for mean in tuple(todo):
+            r, parts, _ = mean
             if lam0:
                 parts.append(kern.weighted_sum(u, xv, tv))
             # r * log2 p can overflow only past SAFE_EXPONENT, and the
@@ -554,8 +542,10 @@ def _share(plan, los, bufs) -> tuple:
             else:
                 with np.errstate(over="ignore"):
                     parts.append(kern.weighted_log2_sumexp(g, xv, r, tv))
-        if rule and den[1] is None:  # g - m is left intact by the numerators
-            dens[-1] = den[0], kern.shifted_exp2_weights(g, g)[1]
+        if rule:
+            if den[1] is None:  # g - m is left intact by the numerators
+                den = den[0], kern.shifted_exp2_weights(g, g)[1]
+            dens.append(den)
     return out, live, dens
 
 
@@ -564,9 +554,11 @@ def _walk(weights, dist, rs) -> dict:
     of rs: log2( sum_k u_k p_k^r ), or sum_k u_k log2 p_k for r None
     (lambda = 0), which rs then holds alone. Per r, the float or the
     InforcerError its mean raised, as a walk at that r alone gives it; a
-    check every r shares raises. Each block is produced once, through
-    rows of one block allocated per call (numpy's own outputs for a
-    vector of one block), and every r's kernel step runs on it in turn.
+    check every r shares raises. Each block is produced at most once
+    for its linear sums and once as a log2 view, through rows of one
+    block allocated per call (numpy's own outputs for a vector of one
+    block, and for a view the walk planned no rows for), and every r's
+    kernel step runs on it in turn.
     A rule's mean is a ratio over its log2 weights g: log2 sum 2^(g + r
     log2 p) - log2 sum 2^g, or sum 2^g log2 p / sum 2^g; per block, one
     denominator partial serves every r.
@@ -581,12 +573,13 @@ def _walk(weights, dist, rs) -> dict:
       product-sum, with no log2 or exp2; elsewhere _linear_sum takes it
       with one exp2 and no log2 of w. A vector of one block takes it
       only at r = 1 of self or external weights. The partial is kept
-      where it lies in [_TINY, _HUGE] (_TINY times the largest utility);
-      any other block is redone, through rows of its own:
+      where it lies in [_TINY, _HUGE] (_TINY times the largest utility),
+      and refused otherwise;
     - log-sum-exp over the log2 weights g = beta log2 p + log2 w: self
       weights at r != 1, escort rules, lambda = 0, |r| or |beta| near
-      SAFE_EXPONENT, utilities past 2^969, and each block that the linear
-      sum refused.
+      SAFE_EXPONENT, utilities past 2^969, and each sum that the linear
+      phase refused. A block takes all its linear sums first and its log2
+      view once, after them (_share).
 
     Both take their blocks from _block, masked by one key per route:
     vkey for the log2 view, the zeros of the weights (of w, and of p
@@ -655,7 +648,6 @@ def _walk(weights, dist, rs) -> dict:
             if floor > 1.0:  # past 2^969 a block's sum could overflow
                 routes = None
     linear = routes is not None
-    view_first = not linear or None in routes
     # a rule's denominator is the linear sum at a = beta
     need_x = linear and ((rule and beta != 1.0) or routes.count(None) + routes.count(1.0) < len(rs))
     # a zero weight adds an exact 0 to a linear sum, but log2 p is -inf at
@@ -668,23 +660,26 @@ def _walk(weights, dist, rs) -> dict:
     # Each worker's rows, by role: the log2 view's w (or g), log2 p and
     # scratch (the log2 w added to beta log2 p), the log-sum-exp's output,
     # and the linear sum's w, p, log2 p and the outputs of its denominator
-    # and numerators. Roles of one name share a row, written in place
-    # where the bits are the same: log2 p over the gathered p, a lone
-    # linear sum's terms over log2 p (or over p at a = 1). A masked view
-    # also holds its gather's index, a block at most, which then serves as
-    # the row a name of None leaves out (_block).
+    # and numerators. Roles of one name share a row: the view, taken after
+    # the linear phase, reuses that phase's rows, and rows are written in
+    # place where the bits are the same: log2 p over the gathered p, a
+    # lone linear sum's terms over log2 p (or over p at a = 1). A masked
+    # view also holds its gather's index, a block at most, which then
+    # serves as the row a name of None leaves out (_block).
     workers, rows = 1, [(None,) * 9]  # a vector of one block: numpy allocates
     if big:
         names = [None] * 9
-        masked = view_first and vkey is not None
-        if view_first:
+        # every block takes a log2 view, for which the walk plans rows
+        viewed = not linear or None in routes
+        masked = viewed and vkey is not None
+        if viewed:
             if rule:
                 escort1 = w is None and type(beta) is float
-                names[:3] = None if masked and escort1 else "vu", "vx", "vt" if weights.kind == "utility" else None
+                names[:3] = None if masked and escort1 else "w", "p", "x" if weights.kind == "utility" else None
             elif lam0:
-                names[:2] = "vu" if masked else "vx", None if masked and same else "vx"
+                names[:2] = "w" if masked else "p", None if masked and same else "p"
             else:
-                names[:2] = "vx" if same else "vu", "vx"
+                names[:2] = "p" if same else "w", "p"
             names[3] = None if t_is_x or (masked and same) else "s"
         if linear:
             if key:
@@ -701,8 +696,8 @@ def _walk(weights, dist, rs) -> dict:
         if single and n >= 2 * _BLOCK and type(d) is not _Product and len(set(names) - {None}) + gathers <= 2:
             workers = _WORKERS
         rows = _rows(names, workers)
-    plan = (w, d, beta, rs, lam0, rule, backends.active_kernels(), big, wide, wide_g, routes, floor, key, vkey,
-            view_first, need_x, t_is_x)
+    plan = (w, d, beta, rs, lam0, rule, backends.active_kernels(), wide, wide_g, routes, floor, key, vkey, need_x,
+            t_is_x)
     out, live, dens = (workers > 1 and _split(plan, n, rows)) or _share(plan, range(0, n, _BLOCK), rows[0])
     # the denominator: a rule's total weight 2^top * total; other weights sum to 1
     top, total = _shifted_sum(dens) if dens else (0.0, 1.0)

@@ -13,7 +13,8 @@ backends.*).
 
 One function of the engine masks and gathers a block, for every weight
 rule: it alone calls _support and _take, so which entries a sum adds is
-decided in one place.
+decided in one place. It is asked for a block's log2 view at one place
+too, after the block's linear sums, so a block has one order of sums.
 
 The package starts threads at one place only, the engine's worker for
 the second half of a split walk, and imports no pool: importing concurrent.futures adds a
@@ -129,3 +130,29 @@ def test_one_function_masks_and_gathers_a_block():
     source = (SRC / "engine.py").read_text()
     masks, gathers = callers(source, "_support"), callers(source, "_take")
     assert len(masks) == 1 and gathers == masks, (masks, gathers)
+
+
+def view_calls(source: str) -> list:
+    """The line of each _block(...) call that asks for a log2 view: its
+    view argument, seventh by position or by keyword, is not a false
+    constant."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_block":
+            view = node.args[6] if len(node.args) > 6 else next(
+                (k.value for k in node.keywords if k.arg == "view"), None)
+            if view is not None and not (isinstance(view, ast.Constant) and not view.value):
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_lint_sees_each_view_of_a_block():
+    sample = ("a = _block(w, d, k, b, lo)\nb = _block(w, d, k, b, lo, beta, True)\n"
+              "c = _block(w, d, k, b, lo, view=True)\nd = _block(w, d, k, b, lo, beta, False)\n"
+              "e = _block(w, d, k, b, lo, beta, view=flag)\n")
+    assert view_calls(sample) == [2, 3, 5]
+
+
+def test_a_block_takes_its_log2_view_at_one_place():
+    # a block takes its linear sums first and its log2 view once, after them
+    assert len(view_calls((SRC / "engine.py").read_text())) == 1

@@ -126,6 +126,11 @@ EDGE_CASES = [
      "tilted", -1.0, -1.5, "pardo", {"gamma": 2.5}, 0, 3),
     ("utility-zeros", [(BULK, 2.0**-16, None, 2.0), (9, 0.0, None, 3.0), (8, 2.0**-40, None, 0.5)],
      ("utility", 0.5), -1.0, -1.5, "khan_autar", {"alpha": 2.5, "beta": 0.5}, 0, 6),
+    # khan_autar at alpha = 0.01, beta = 1: log2(sum v p^0.01 / sum v p) / 0.99. The tail's
+    # denominator, 17 * 2^-1000, is refused and its numerator kept: the kept partial is
+    # shifted by the view's max g, and the view's denominator takes one exp2 step
+    ("utility-den-under", [(BULK, (1 - 17 * 2.0**-1000) / BULK, None, 1.0), (17, 2.0**-1000, None, 1.0)],
+     ("utility", 1.0), -1.0, 0.99, "khan_autar", {"alpha": 0.01, "beta": 1.0}, 0, 4),
 ]
 
 
